@@ -9,9 +9,6 @@ import numpy as np
 
 from .graph import UNREACHABLE, PathCache, Topology
 
-KINDS = ("degree", "closeness", "betweenness", "eigenvector",
-         "cbc_exact", "cbc_replication")
-
 
 class PowerIterationError(RuntimeError):
     """Power iteration failed to converge within the iteration budget."""
@@ -45,10 +42,10 @@ def degree_centrality(topology: Topology) -> CentralityScores:
     return _scores("degree", (topology.degree(v) for v in range(topology.node_count)))
 
 
-def closeness_centrality(topology: Topology) -> CentralityScores:
+def closeness_centrality(topology: Topology, cache: PathCache | None = None) -> CentralityScores:
     """reachable-count / sum-of-distances per node; isolated nodes score 0."""
     raw = []
-    cache = PathCache(topology)
+    cache = cache or PathCache(topology)
     for v in range(topology.node_count):
         dist = cache.dist_from(v)
         reachable = [d for d in dist if d != UNREACHABLE and d > 0]
@@ -104,7 +101,8 @@ def eigenvector_centrality(topology: Topology, tol: float = 1e-9,
 @dataclass(frozen=True)
 class ReplicationPolicy:
     """Replica-class layout: a fraction ``alpha`` of each buffer is common to
-    every caching node, the remainder unique per node."""
+    every caching node, the remainder unique per node.  The only owner of
+    class sizes; a common class larger than the catalog is clamped to it."""
 
     alpha: float
     buffer_items: int
@@ -120,27 +118,30 @@ class ReplicationPolicy:
 
     @property
     def common_class_size(self) -> int:
-        return math.floor(self.alpha * self.buffer_items)
+        return min(math.floor(self.alpha * self.buffer_items), self.catalog_size)
 
     @property
     def unique_class_size(self) -> int:
-        return self.buffer_items - self.common_class_size
+        return self.buffer_items - math.floor(self.alpha * self.buffer_items)
+
+    def layout(self, caching_order) -> tuple[range, dict[int, range], range]:
+        """Item ranks of each class for nodes joining the fog in
+        ``caching_order``: the common class (the top ranks, empty without
+        caching nodes), each node's unique class (the following ranks in fog
+        order, trimmed once the catalog is exhausted) and the miss class
+        (the ranks left to the origin alone)."""
+        order = list(dict.fromkeys(caching_order))
+        common = self.common_class_size if order else 0
+        bounds = [min(common + i * self.unique_class_size, self.catalog_size)
+                  for i in range(len(order) + 1)]
+        unique = {w: range(bounds[i], bounds[i + 1]) for i, w in enumerate(order)}
+        return range(common), unique, range(bounds[-1], self.catalog_size)
 
     def realized_unique_sizes(self, caching_order) -> tuple[list[int], int]:
-        """Per-node unique-class sizes in fog order, trimmed once the catalog
-        is exhausted, plus the miss-class size N_m."""
-        caching_order = list(caching_order)
-        common = self.common_class_size if caching_order else 0
-        if common > self.catalog_size:
-            raise ValueError("common class size exceeds catalog")
-        remaining = self.catalog_size - common
-        sizes = []
-        for _ in caching_order:
-            take = min(self.unique_class_size, remaining)
-            sizes.append(take)
-            remaining -= take
-        assert remaining >= 0
-        return sizes, remaining
+        """Per-node unique-class sizes in fog order plus the miss-class size
+        N_m."""
+        _, unique, miss = self.layout(caching_order)
+        return [len(ranks) for ranks in unique.values()], len(miss)
 
 
 def _path_fraction_vector(sp, targets, n) -> list[float] | None:
@@ -249,8 +250,8 @@ def cbc_replication(topology: Topology, consumers, policy: ReplicationPolicy,
     for w in caching_order:
         if not 0 <= w < n:
             raise ValueError(f"invalid caching node id {w}")
-    unique_sizes, miss_count = policy.realized_unique_sizes(caching_order)
-    common_size = policy.common_class_size if caching_order else 0
+    common, unique, miss = policy.layout(caching_order)
+    common_size, miss_count = len(common), len(miss)
     caching_set = set(caching_order)
     origin = topology.origin
     raw = [0.0] * n
@@ -282,7 +283,8 @@ def cbc_replication(topology: Topology, consumers, policy: ReplicationPolicy,
         weights = [0.0] * n
         origin_weight = float(miss_count) if origin_reachable else 0.0
         tie_classes = []
-        for w, size in zip(caching_order, unique_sizes):
+        for w, ranks in unique.items():
+            size = len(ranks)
             if not size or w == u:
                 continue
             dw = sp.dist[w]
@@ -319,16 +321,8 @@ def concretize_classes(policy: ReplicationPolicy, caching_nodes) -> dict[int, se
     """A concrete placement realizing the policy's replica classes: common
     class = top ranks at every caching node, unique classes = following ranks
     in fog order.  Used to cross-check the class-based computation."""
-    caching_order = list(dict.fromkeys(caching_nodes))
-    unique_sizes, _ = policy.realized_unique_sizes(caching_order)
-    common_size = policy.common_class_size if caching_order else 0
-    common = set(range(common_size))
-    placement = {w: set(common) for w in caching_order}
-    next_rank = common_size
-    for w, size in zip(caching_order, unique_sizes):
-        placement[w].update(range(next_rank, next_rank + size))
-        next_rank += size
-    return placement
+    common, unique, _ = policy.layout(caching_nodes)
+    return {w: set(common) | set(ranks) for w, ranks in unique.items()}
 
 
 def export_scores_csv(scores: CentralityScores, topology: Topology, stream) -> None:

@@ -5,21 +5,16 @@ Exit codes: 0 success, 1 configuration/input error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import experiment as exp
 from .catalog import generate_interests
-from .centrality import (ReplicationPolicy, betweenness_centrality,
-                         cbc_replication, closeness_centrality,
-                         degree_centrality, eigenvector_centrality,
-                         export_scores_csv)
+from .centrality import ReplicationPolicy, export_scores_csv
 from .graph import PathCache, connected_components, load_topology, serialize_topology
-from .placement import (CacheAssignment, export_assignment_csv, place_fog,
-                        place_noncollaborative)
-from .simulator import (assign_roles, cache_hit_rate, pooled_hit_rate,
-                        run_simulation, success_rate)
+from .placement import export_assignment_csv
+from .simulator import assign_roles
 from .synthetic import KINDS, generate_synthetic_topology
 
 
@@ -59,9 +54,7 @@ def _build_parser() -> _Parser:
         p.add_argument("-o", "--output", default="-")
 
     cent = sub.add_parser("centrality", help="compute and export node scores")
-    cent.add_argument("--kind", default="cbc",
-                      choices=("cbc", "degree", "closeness", "betweenness",
-                               "eigenvector"))
+    cent.add_argument("--kind", choices=exp.RANKED, default="cbc")
     common_sim_args(cent, with_scheme=False)
 
     place = sub.add_parser("place", help="export a cache assignment")
@@ -106,44 +99,15 @@ def _load(path: str):
 
 
 def _cell(args, topology):
-    """Roles, workload, providers for one (topology, repetition) cell."""
+    """Roles, catalog and replication policy of one (topology, repetition)
+    cell, seeded as the experiment seeds its first topology."""
     roles = assign_roles(topology, args.consumer_frac, args.provider_frac,
                          exp.derive_seed(args.master_seed, 0, args.repetition,
                                          "roles"))
     catalog = exp.zipf_catalog(args.catalog_size, args.zipf_exponent)
-    return roles, catalog
-
-
-def _scores_for(args, topology, kind, roles, cache):
-    if kind == "degree":
-        return degree_centrality(topology)
-    if kind == "closeness":
-        return closeness_centrality(topology)
-    if kind == "betweenness":
-        return betweenness_centrality(topology, cache)
-    if kind == "eigenvector":
-        return eigenvector_centrality(topology)
     policy = ReplicationPolicy(alpha=args.alpha, buffer_items=args.buffer_items,
                                catalog_size=args.catalog_size)
-    return cbc_replication(topology, roles.consumers, policy,
-                           sorted(roles.providers), cache)
-
-
-def _assignment_for(args, topology, scheme, roles, catalog, cache):
-    providers = sorted(roles.providers)
-    if scheme == "lru_social_unaware":
-        # cold start, mirroring the experiment runner
-        return CacheAssignment(scheme=scheme, common_parts={},
-                               unique_parts={v: () for v in providers},
-                               fog=tuple(providers), alpha=None,
-                               buffer_items=args.buffer_items)
-    scores = _scores_for(args, topology, "cbc" if scheme in ("cbc", "no_fog")
-                         else scheme, roles, cache)
-    if scheme == "no_fog":
-        return place_noncollaborative(topology, scores, catalog, providers,
-                                      args.buffer_items)
-    return place_fog(topology, scores, catalog, providers, args.buffer_items,
-                     args.alpha)
+    return roles, catalog, policy
 
 
 def _experiment_overrides(args) -> dict:
@@ -160,8 +124,6 @@ def _experiment_overrides(args) -> dict:
 
 
 def _run(args) -> int:
-    import io
-
     if args.command == "topology":
         if args.action == "generate":
             topo = generate_synthetic_topology(args.kind, args.nodes,
@@ -178,35 +140,29 @@ def _run(args) -> int:
     if args.command in ("centrality", "place", "simulate"):
         topology = _load(args.topology)
         cache = PathCache(topology)
-        roles, catalog = _cell(args, topology)
+        roles, catalog, policy = _cell(args, topology)
+        kind = args.kind if args.command == "centrality" else args.scheme
+        scores = (exp.centrality_for(kind, topology, cache, roles, policy)
+                  if kind in exp.RANKED else None)
         buffer = io.StringIO()
         if args.command == "centrality":
-            scores = _scores_for(args, topology, args.kind, roles, cache)
             export_scores_csv(scores, topology, buffer)
-        elif args.command == "place":
-            assignment = _assignment_for(args, topology, args.scheme, roles,
-                                         catalog, cache)
-            assignment = replace(assignment, scheme=args.scheme)
-            export_assignment_csv(assignment, topology, buffer)
         else:
-            workload = generate_interests(
-                catalog, roles.consumers, args.interests,
-                exp.derive_seed(args.master_seed, 0, args.repetition, "workload"))
-            assignment = _assignment_for(args, topology, args.scheme, roles,
-                                         catalog, cache)
-            metrics = run_simulation(topology, assignment, roles, workload,
-                                     lru_enabled=args.scheme == "lru_social_unaware",
-                                     path_cache=cache)
-            buffer.write(",".join(exp.CSV_COLUMNS) + "\n")
-            buffer.write(",".join(str(x) for x in (
-                topology.snapshot_label or Path(args.topology).stem,
-                args.scheme, args.alpha, args.repetition,
-                workload.seed,
-                f"{cache_hit_rate(metrics):.12g}",
-                f"{success_rate(metrics):.12g}",
-                metrics.interests_generated, metrics.satisfied_from_cache,
-                metrics.satisfied_from_origin, metrics.unsatisfied,
-                f"{pooled_hit_rate(metrics):.12g}")) + "\n")
+            assignment = exp.assignment_for(args.scheme, topology, scores, catalog,
+                                            sorted(roles.providers), policy)
+            if args.command == "place":
+                export_assignment_csv(assignment, topology, buffer)
+            else:
+                workload = generate_interests(
+                    catalog, roles.consumers, args.interests,
+                    exp.derive_seed(args.master_seed, 0, args.repetition,
+                                    "workload"))
+                row = {"topology": Path(args.topology).stem,
+                       "scheme": args.scheme, "alpha": args.alpha,
+                       "repetition": args.repetition, "seed": workload.seed,
+                       **exp.simulate(topology, assignment, roles, workload, cache)}
+                buffer.write(exp.table_to_csv(exp.ResultTable(rows=[row],
+                                                              aggregates=[])))
         _write(buffer.getvalue(), args.output)
         return 0
 

@@ -4,21 +4,26 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .catalog import ContentCatalog, generate_interests, zipf_catalog
-from .centrality import (ReplicationPolicy, betweenness_centrality,
-                         cbc_replication, closeness_centrality,
-                         degree_centrality, eigenvector_centrality)
+from .catalog import (ContentCatalog, InterestWorkload, generate_interests,
+                      zipf_catalog)
+from .centrality import (CentralityScores, ReplicationPolicy,
+                         betweenness_centrality, cbc_replication,
+                         closeness_centrality, degree_centrality,
+                         eigenvector_centrality)
 from .graph import PathCache, Topology, load_topology
 from .placement import CacheAssignment, place_fog, place_noncollaborative
-from .simulator import (assign_roles, cache_hit_rate, pooled_hit_rate,
-                        run_simulation, success_rate)
+from .simulator import (RoleAssignment, SimMetrics, assign_roles,
+                        cache_hit_rate, pooled_hit_rate, run_simulation,
+                        success_rate)
 from .synthetic import generate_synthetic_topology
 
-SCHEMES = ("cbc", "degree", "closeness", "betweenness", "eigenvector",
-           "lru_social_unaware", "no_fog")
+# schemes that place caches with place_fog in the order of a centrality of
+# the same name; the other two ignore node scores and alpha
+RANKED = ("cbc", "degree", "closeness", "betweenness", "eigenvector")
+SCHEMES = RANKED + ("lru_social_unaware", "no_fog")
 
 CSV_COLUMNS = ("topology", "scheme", "alpha", "repetition", "seed",
                "hit_rate", "success_rate", "generated", "cache_satisfied",
@@ -105,19 +110,76 @@ def _stddev(values):
     return math.sqrt(math.fsum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
+def centrality_for(kind: str, topology: Topology, cache: PathCache,
+                   roles: RoleAssignment | None = None,
+                   policy: ReplicationPolicy | None = None) -> CentralityScores:
+    """Node scores of the ``RANKED`` scheme ``kind``.  Only ``cbc`` reads the
+    cell's ``roles`` and ``policy``."""
+    if kind == "degree":
+        return degree_centrality(topology)
+    if kind == "closeness":
+        return closeness_centrality(topology, cache)
+    if kind == "betweenness":
+        return betweenness_centrality(topology, cache)
+    if kind == "eigenvector":
+        return eigenvector_centrality(topology)
+    if kind == "cbc":
+        return cbc_replication(topology, roles.consumers, policy,
+                               sorted(roles.providers), cache)
+    raise ValueError(f"unknown centrality kind {kind!r}")
+
+
+def assignment_for(scheme: str, topology: Topology,
+                   scores: CentralityScores | None, catalog: ContentCatalog,
+                   providers, policy: ReplicationPolicy) -> CacheAssignment:
+    """Cache contents of ``scheme`` over the sorted ``providers``; ``scores``
+    ranks the fog of a ``RANKED`` scheme and is ignored otherwise."""
+    if scheme == "lru_social_unaware":
+        # cold start: providers begin empty and fill greedily with whatever
+        # popular content streams past on return paths
+        assignment = CacheAssignment(scheme=scheme, common_parts={},
+                                     unique_parts={v: () for v in providers},
+                                     fog=tuple(providers), alpha=None,
+                                     buffer_items=policy.buffer_items)
+    elif scheme == "no_fog":
+        assignment = place_noncollaborative(catalog, providers,
+                                            policy.buffer_items)
+    elif scheme in RANKED:
+        assignment = place_fog(topology, scores, catalog, providers,
+                               policy.buffer_items, policy.alpha)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return replace(assignment, scheme=scheme)
+
+
+def measure(metrics: SimMetrics) -> dict:
+    """The result columns of one simulation run."""
+    return {"hit_rate": cache_hit_rate(metrics),
+            "success_rate": success_rate(metrics),
+            "generated": metrics.interests_generated,
+            "cache_satisfied": metrics.satisfied_from_cache,
+            "origin_satisfied": metrics.satisfied_from_origin,
+            "unsatisfied": metrics.unsatisfied,
+            "pooled_hit_rate": pooled_hit_rate(metrics)}
+
+
+def simulate(topology: Topology, assignment: CacheAssignment,
+             roles: RoleAssignment, workload: InterestWorkload,
+             cache: PathCache) -> dict:
+    """Measure ``assignment`` on ``workload``.  Only the LRU scheme's caches
+    change at runtime."""
+    lru = assignment.scheme == "lru_social_unaware"
+    return measure(run_simulation(topology, assignment, roles, workload,
+                                  lru_enabled=lru, path_cache=cache))
+
+
 def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     label, topology = plan.topologies[topology_index]
     catalog = plan.catalog()
     cache = PathCache(topology)
-    classic = {}
-    if "degree" in plan.schemes:
-        classic["degree"] = degree_centrality(topology)
-    if "closeness" in plan.schemes:
-        classic["closeness"] = closeness_centrality(topology)
-    if "betweenness" in plan.schemes:
-        classic["betweenness"] = betweenness_centrality(topology, cache)
-    if "eigenvector" in plan.schemes:
-        classic["eigenvector"] = eigenvector_centrality(topology)
+    # classic scores depend on the topology alone, cbc also on roles and alpha
+    classic = {kind: centrality_for(kind, topology, cache)
+               for kind in RANKED if kind != "cbc" and kind in plan.schemes}
 
     rows = []
     for rep in range(plan.repetitions):
@@ -128,65 +190,20 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
         workload = generate_interests(catalog, roles.consumers,
                                       plan.interests_per_run, workload_seed)
         providers = sorted(roles.providers)
-        # lru / no_fog cache contents ignore both alpha and the score vector,
-        # so their metrics are computed once per repetition
+        # schemes outside RANKED ignore alpha: measure them once per repetition
         alpha_free: dict[str, dict] = {}
-        cbc_scores_by_alpha: dict[float, object] = {}
-
-        def cbc_scores(alpha):
-            scores = cbc_scores_by_alpha.get(alpha)
-            if scores is None:
-                policy = ReplicationPolicy(alpha=alpha,
-                                           buffer_items=plan.buffer_items,
-                                           catalog_size=plan.catalog_size)
-                scores = cbc_replication(topology, roles.consumers, policy,
-                                         providers, cache)
-                cbc_scores_by_alpha[alpha] = scores
-            return scores
-
         for alpha in plan.alphas:
+            policy = ReplicationPolicy(alpha, plan.buffer_items, plan.catalog_size)
+            scores = dict(classic)
+            if "cbc" in plan.schemes:
+                scores["cbc"] = centrality_for("cbc", topology, cache, roles, policy)
             for scheme in plan.schemes:
-                lru = False
-                if scheme == "cbc":
-                    assignment = place_fog(topology, cbc_scores(alpha), catalog,
-                                           providers, plan.buffer_items, alpha)
-                elif scheme in classic:
-                    assignment = place_fog(topology, classic[scheme], catalog,
-                                           providers, plan.buffer_items, alpha)
-                elif scheme == "lru_social_unaware":
-                    # cold start: providers begin empty and fill greedily with
-                    # whatever popular content streams past on return paths
-                    assignment = CacheAssignment(
-                        scheme=scheme, common_parts={},
-                        unique_parts={v: () for v in providers},
-                        fog=tuple(providers), alpha=None,
-                        buffer_items=plan.buffer_items)
-                    lru = True
-                elif scheme == "no_fog":
-                    assignment = place_noncollaborative(topology,
-                                                       cbc_scores(alpha),
-                                                       catalog, providers,
-                                                       plan.buffer_items)
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
-                assignment = replace(assignment, scheme=scheme)
-
-                if scheme in ("lru_social_unaware", "no_fog") and scheme in alpha_free:
-                    measured = alpha_free[scheme]
-                else:
-                    metrics = run_simulation(topology, assignment, roles,
-                                             workload, lru_enabled=lru,
-                                             path_cache=cache)
-                    measured = {
-                        "hit_rate": cache_hit_rate(metrics),
-                        "success_rate": success_rate(metrics),
-                        "generated": metrics.interests_generated,
-                        "cache_satisfied": metrics.satisfied_from_cache,
-                        "origin_satisfied": metrics.satisfied_from_origin,
-                        "unsatisfied": metrics.unsatisfied,
-                        "pooled_hit_rate": pooled_hit_rate(metrics),
-                    }
-                    if scheme in ("lru_social_unaware", "no_fog"):
+                measured = alpha_free.get(scheme)
+                if measured is None:
+                    assignment = assignment_for(scheme, topology, scores.get(scheme),
+                                                catalog, providers, policy)
+                    measured = simulate(topology, assignment, roles, workload, cache)
+                    if scheme not in RANKED:
                         alpha_free[scheme] = measured
                 rows.append({"topology": label, "scheme": scheme,
                              "alpha": alpha, "repetition": rep,

@@ -2,11 +2,10 @@
 replication factor, plus the greedy-popular and non-collaborative baselines."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import ContentCatalog
-from .centrality import CentralityScores
+from .centrality import CentralityScores, ReplicationPolicy
 from .graph import Topology
 
 
@@ -51,34 +50,15 @@ def place_fog(topology: Topology, scores: CentralityScores, catalog: ContentCata
     Fill stops when the catalog is exhausted; late fog nodes may keep spare
     unique capacity empty.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if buffer_items < 1:
-        raise ValueError("buffer_items must be >= 1")
+    policy = ReplicationPolicy(alpha, buffer_items, catalog.size)
     if not caching_nodes:
         raise ValueError("caching_nodes must be non-empty")
     order = _score_order(scores, topology, caching_nodes)
-    n_items = catalog.size
-    common_size = min(math.floor(alpha * buffer_items), n_items)
-    unique_size = buffer_items - math.floor(alpha * buffer_items)
-    common = tuple(range(common_size))
-    fog_items = set(common)
-    next_rank = common_size
-    common_parts = {}
-    unique_parts = {}
-    for v in order:
-        unique = []
-        while len(unique) < unique_size and next_rank < n_items:
-            # ranks below next_rank are all in fog_items already: the common
-            # part is a rank prefix and unique fills advance monotonically
-            unique.append(next_rank)
-            fog_items.add(next_rank)
-            next_rank += 1
-        common_parts[v] = common
-        unique_parts[v] = tuple(unique)
-    return CacheAssignment(scheme="fog", common_parts=common_parts,
-                           unique_parts=unique_parts, fog=tuple(order),
-                           alpha=alpha, buffer_items=buffer_items)
+    common, unique, _ = policy.layout(order)
+    common = tuple(common)
+    return CacheAssignment(scheme="fog", common_parts={v: common for v in order},
+                           unique_parts={v: tuple(r) for v, r in unique.items()},
+                           fog=tuple(order), alpha=alpha, buffer_items=buffer_items)
 
 
 def place_greedy_popular(catalog: ContentCatalog, caching_nodes,
@@ -96,19 +76,17 @@ def place_greedy_popular(catalog: ContentCatalog, caching_nodes,
                            buffer_items=buffer_items)
 
 
-def place_noncollaborative(topology: Topology, scores: CentralityScores,
-                           catalog: ContentCatalog, caching_nodes,
+def place_noncollaborative(catalog: ContentCatalog, caching_nodes,
                            buffer_items: int) -> CacheAssignment:
-    """No-fog baseline: the same score-ranked caching nodes, but each fills
-    its buffer alone, so all end up with the identical top-b items and no
-    fog set is formed."""
+    """No-fog baseline: every caching node fills its buffer alone, so all
+    hold the identical top-b items, unranked, and no fog set is formed."""
     if buffer_items < 1:
         raise ValueError("buffer_items must be >= 1")
-    order = _score_order(scores, topology, caching_nodes)
     top = tuple(range(min(buffer_items, catalog.size)))
+    nodes = sorted(set(caching_nodes))
     return CacheAssignment(scheme="noncollaborative",
-                           common_parts={v: () for v in order},
-                           unique_parts={v: top for v in order},
+                           common_parts={v: () for v in nodes},
+                           unique_parts={v: top for v in nodes},
                            fog=(), alpha=None, buffer_items=buffer_items)
 
 

@@ -7,7 +7,7 @@ import warnings
 from collections import deque
 from dataclasses import replace
 
-from .graph import Topology, from_edges
+from .graph import Topology, connected_components, from_edges
 
 KINDS = ("geometric", "grid", "erdos_renyi")
 
@@ -58,8 +58,7 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
 
     label = f"{kind}-n{node_count}-d{density:g}-s{seed}"
     full = from_edges(edges, nodes=range(node_count), label=label)
-    components = _components_from_edges(node_count, edges)
-    giant = max(components, key=lambda c: (len(c), -min(c)))
+    giant = max(connected_components(full), key=lambda c: (len(c), -min(c)))
     if len(giant) < node_count:
         if len(giant) < 0.95 * node_count:
             warnings.warn(
@@ -90,21 +89,3 @@ def _peripheral_node(topology: Topology) -> int:
             best_v, best_total = source, total
     return best_v
 
-
-def _components_from_edges(node_count, edges):
-    parent = list(range(node_count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(node_count):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())

@@ -9,7 +9,8 @@ from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
                                  cbc_replication, closeness_centrality,
                                  concretize_classes, degree_centrality,
                                  eigenvector_centrality, normalize_minmax)
-from fogcache.graph import from_edges, load_topology
+from fogcache import graph
+from fogcache.graph import PathCache, from_edges, load_topology
 from oracles import naive_betweenness, naive_cbc, random_edge_set
 
 STAR5 = "0 1\n0 2\n0 3\n0 4"
@@ -43,6 +44,22 @@ class TestClassicCentralities:
     def test_closeness_isolated_zero(self):
         topo = from_edges([(0, 1)], nodes=[0, 1, 2])
         assert closeness_centrality(topo).raw[2] == 0.0
+
+    def test_closeness_reuses_callers_cache(self, monkeypatch):
+        topo = random_topology(11, max_nodes=12)
+        cache = PathCache(topo)
+        betweenness_centrality(topo, cache)
+        fresh = closeness_centrality(topo).raw
+        sources = []
+        bfs = graph.bfs_shortest_paths
+
+        def counted_bfs(topology, source):
+            sources.append(source)
+            return bfs(topology, source)
+
+        monkeypatch.setattr(graph, "bfs_shortest_paths", counted_bfs)
+        assert closeness_centrality(topo, cache).raw == fresh
+        assert sources == []
 
     def test_betweenness_path(self):
         assert betweenness_centrality(load_topology(PATH3)).raw == (0.0, 1.0, 0.0)
@@ -198,8 +215,22 @@ class TestReplicationPolicy:
 
     def test_common_class_exceeding_catalog(self):
         policy = ReplicationPolicy(alpha=1.0, buffer_items=20, catalog_size=10)
-        with pytest.raises(ValueError, match="exceeds catalog"):
-            policy.realized_unique_sizes([0, 1])
+        assert policy.common_class_size == 10
+        sizes, miss = policy.realized_unique_sizes([0, 1])
+        assert sizes == [0, 0]
+        assert miss == 0
+
+    def test_layout_ranks_follow_fog_order(self):
+        policy = ReplicationPolicy(alpha=0.5, buffer_items=4, catalog_size=9)
+        common, unique, miss = policy.layout([3, 1, 3, 0, 2])
+        assert common == range(2)
+        assert unique == {3: range(2, 4), 1: range(4, 6), 0: range(6, 8),
+                          2: range(8, 9)}
+        assert miss == range(9, 9)
+
+    def test_layout_without_caching_nodes_is_all_miss(self):
+        policy = ReplicationPolicy(alpha=0.5, buffer_items=4, catalog_size=9)
+        assert policy.layout([]) == (range(0), {}, range(9))
 
     def test_realized_sizes_trim_and_miss(self):
         policy = ReplicationPolicy(alpha=0.5, buffer_items=4, catalog_size=10)

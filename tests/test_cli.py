@@ -1,7 +1,7 @@
 import pytest
 
 from fogcache.cli import main
-from fogcache.experiment import CSV_COLUMNS
+from fogcache.experiment import CSV_COLUMNS, SCHEMES
 from fogcache.graph import load_topology
 
 
@@ -78,6 +78,21 @@ class TestAnalysisCommands:
                      "--catalog-size", "10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_simulate_row_matches_experiment(self, scheme, line_file,
+                                             tmp_path, capsys):
+        common = ["--topology", str(line_file), "--interests", "50",
+                  "--catalog-size", "10"]
+        assert main(["simulate", "--scheme", scheme, "--alpha", "1",
+                     *common]) == 0
+        simulated = capsys.readouterr().out.splitlines()
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--schemes", scheme, "--alphas", "1",
+                     "--repetitions", "1", "--output-dir", str(out_dir),
+                     *common]) == 0
+        results = (out_dir / "results.csv").read_text().splitlines()
+        assert simulated == results[:2]
+
 
 class TestExperimentCommand:
     def test_small_experiment_writes_reports(self, line_file, tmp_path, capsys):
@@ -109,6 +124,16 @@ class TestExperimentCommand:
                      "--catalog-size", "5", "--output-dir", str(out_dir)]) == 0
         text = (out_dir / "results.csv").read_text()
         assert "cbc" in text and "no_fog" not in text
+
+    def test_buffer_larger_than_catalog_clamps(self, line_file, tmp_path):
+        # the common class is clamped to the catalog for every scheme
+        assert main(["experiment", "--topology", str(line_file),
+                     "--buffer-items", "150", "--catalog-size", "100",
+                     "--alphas", "1.0", "--repetitions", "1",
+                     "--interests", "50",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+        assert {row.split(",")[1] for row in rows[1:]} == set(SCHEMES)
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "plan.cfg"

@@ -3,10 +3,12 @@ import warnings
 
 import pytest
 
-from fogcache.experiment import (CSV_COLUMNS, ExperimentPlan, default_plan,
-                                 default_topologies, derive_seed, emit_report,
-                                 mean_metric, parse_config, plan_from_config,
-                                 run_experiment, summary_text, table_to_csv)
+from fogcache import experiment
+from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
+                                 default_plan, default_topologies, derive_seed,
+                                 emit_report, mean_metric, parse_config,
+                                 plan_from_config, run_experiment, summary_text,
+                                 table_to_csv)
 from fogcache.graph import connected_components, from_edges
 from fogcache.synthetic import generate_synthetic_topology
 
@@ -105,6 +107,40 @@ class TestRunExperiment:
         table = run_experiment(plan)
         assert len(table.rows) == 1 * 3 * 2 * 3
         assert len(table.aggregates) == 2 * (1 * 3 * 2)
+
+    def count_layer_calls(self, monkeypatch, plan):
+        calls = {"cbc_replication": 0, "place_fog": 0, "static": 0, "lru": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def simulation(*args, lru_enabled, **kwargs):
+            calls["lru" if lru_enabled else "static"] += 1
+            return run_simulation(*args, lru_enabled=lru_enabled, **kwargs)
+
+        run_simulation = experiment.run_simulation
+        for name in ("cbc_replication", "place_fog"):
+            monkeypatch.setattr(experiment, name,
+                                counted(name, getattr(experiment, name)))
+        monkeypatch.setattr(experiment, "run_simulation", simulation)
+        run_experiment(plan)
+        return calls
+
+    def test_dispatch_calls_layers_through_module(self, monkeypatch):
+        # per repetition: cbc once per alpha, place_fog once per ranked
+        # scheme and alpha, lru and no_fog simulated once
+        calls = self.count_layer_calls(
+            monkeypatch, tiny_plan(schemes=SCHEMES, alphas=(0.25, 0.75)))
+        assert calls == {"cbc_replication": 2 * 2, "place_fog": 2 * 5 * 2,
+                         "static": 2 * (5 * 2 + 1), "lru": 2}
+
+    def test_no_fog_needs_no_cbc(self, monkeypatch):
+        calls = self.count_layer_calls(monkeypatch, tiny_plan(schemes=("no_fog",)))
+        assert calls == {"cbc_replication": 0, "place_fog": 0, "static": 2,
+                         "lru": 0}
 
     def test_paired_workload_across_schemes(self):
         table = run_experiment(tiny_plan())

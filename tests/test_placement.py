@@ -136,19 +136,13 @@ class TestBaselines:
         assert assignment.nodes() == []
 
     def test_noncollaborative_identical_caches_no_fog(self):
-        topo = line_topology(4)
-        scores = scores_for(topo, [2, 3, 1, 0])
-        assignment = place_noncollaborative(topo, scores, zipf_catalog(4),
-                                            [0, 1, 2], 2)
+        assignment = place_noncollaborative(zipf_catalog(4), [0, 1, 2], 2)
         assert assignment.fog == ()
         for v in (0, 1, 2):
             assert assignment.items_at(v) == (0, 1)
 
     def test_noncollaborative_matches_greedy_contents(self):
-        topo = line_topology(4)
-        scores = scores_for(topo, [2, 3, 1, 0])
-        noncollab = place_noncollaborative(topo, scores, zipf_catalog(9),
-                                           [0, 1, 2], 4)
+        noncollab = place_noncollaborative(zipf_catalog(9), [0, 1, 2], 4)
         greedy = place_greedy_popular(zipf_catalog(9), [0, 1, 2], 4)
         for v in (0, 1, 2):
             assert sorted(noncollab.items_at(v)) == sorted(greedy.items_at(v))
@@ -157,7 +151,7 @@ class TestBaselines:
         topo = line_topology(3)
         catalog = zipf_catalog(7)
         scores = scores_for(topo, [1, 0, 0])
-        noncollab = place_noncollaborative(topo, scores, catalog, [0], 3)
+        noncollab = place_noncollaborative(catalog, [0], 3)
         fog = place_fog(topo, scores, catalog, [0], 3, 1.0)
         assert sorted(noncollab.items_at(0)) == sorted(fog.items_at(0))
 
