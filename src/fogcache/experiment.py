@@ -231,13 +231,14 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
         per_topology = [_run_topology(plan, i) for i in indices]
     rows = [row for chunk in per_topology for row in chunk]
 
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault((r["topology"], r["scheme"], r["alpha"]), []).append(r)
     aggregates = []
     for label, _ in plan.topologies:
         for alpha in plan.alphas:
             for scheme in plan.schemes:
-                members = [r for r in rows
-                           if r["topology"] == label and r["scheme"] == scheme
-                           and r["alpha"] == alpha]
+                members = groups[label, scheme, alpha]
                 for stat, fn in (("mean", _mean), ("stddev", _stddev)):
                     aggregates.append({
                         "topology": label, "scheme": scheme, "alpha": alpha,
@@ -261,13 +262,21 @@ def table_to_csv(table: ResultTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _means(table: ResultTable) -> dict[tuple, dict]:
+    """Mean aggregate rows keyed by (topology, scheme, alpha)."""
+    means: dict[tuple, dict] = {}
+    for row in table.aggregates:
+        if row["repetition"] == "mean":
+            means.setdefault((row["topology"], row["scheme"], row["alpha"]), row)
+    return means
+
+
 def mean_metric(table: ResultTable, topology: str, scheme: str, alpha: float,
                 metric: str = "hit_rate") -> float:
-    for row in table.aggregates:
-        if (row["topology"] == topology and row["scheme"] == scheme
-                and row["alpha"] == alpha and row["repetition"] == "mean"):
-            return row[metric]
-    raise KeyError(f"no aggregate for ({topology}, {scheme}, {alpha})")
+    row = _means(table).get((topology, scheme, alpha))
+    if row is None:
+        raise KeyError(f"no aggregate for ({topology}, {scheme}, {alpha})")
+    return row[metric]
 
 
 def summary_text(table: ResultTable) -> str:
@@ -276,6 +285,7 @@ def summary_text(table: ResultTable) -> str:
     topologies = list(dict.fromkeys(r["topology"] for r in table.rows))
     schemes = list(dict.fromkeys(r["scheme"] for r in table.rows))
     alphas = list(dict.fromkeys(r["alpha"] for r in table.rows))
+    means = _means(table)
     blocks = []
     for metric in ("hit_rate", "success_rate"):
         lines = [f"== mean {metric} (rows: scheme / alpha, columns: topology) =="]
@@ -284,9 +294,8 @@ def summary_text(table: ResultTable) -> str:
         lines.append(header)
         for scheme in schemes:
             for alpha in alphas:
-                cells = "".join(
-                    f"{mean_metric(table, t, scheme, alpha, metric):>14.4f}"
-                    for t in topologies)
+                cells = "".join(f"{means[t, scheme, alpha][metric]:>14.4f}"
+                                for t in topologies)
                 lines.append(f"{scheme:<20}{alpha:>8.2f}" + cells)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
@@ -308,14 +317,14 @@ def emit_report(table: ResultTable, destination, gnuplot: bool = False) -> list[
         topologies = list(dict.fromkeys(r["topology"] for r in table.rows))
         schemes = list(dict.fromkeys(r["scheme"] for r in table.rows))
         alphas = list(dict.fromkeys(r["alpha"] for r in table.rows))
+        means = _means(table)
         for metric in ("hit_rate", "success_rate"):
             for topology in topologies:
                 path = dest / f"{metric}_{topology}.dat"
                 lines = ["# alpha " + " ".join(schemes)]
                 for alpha in alphas:
-                    cells = " ".join(
-                        f"{mean_metric(table, topology, s, alpha, metric):.6f}"
-                        for s in schemes)
+                    cells = " ".join(f"{means[topology, s, alpha][metric]:.6f}"
+                                     for s in schemes)
                     lines.append(f"{alpha:.2f} {cells}")
                 path.write_text("\n".join(lines) + "\n")
                 written.append(path)

@@ -1,6 +1,7 @@
 """Connectivity graph: edge-list ingestion, BFS path counting, components."""
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -178,7 +179,8 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 
 class PathCache:
-    """Lazily memoized per-source BFS results for one immutable topology.
+    """Lazily memoized per-source BFS results and per-target next-hop arrays
+    for one immutable topology.
 
     Routing and centrality passes reuse BFS output across runs; memoization is
     append-only so concurrent readers under the GIL are safe.
@@ -187,6 +189,7 @@ class PathCache:
     def __init__(self, topology: Topology):
         self.topology = topology
         self._sp: dict[int, ShortestPathData] = {}
+        self._hops: dict[int, array] = {}
 
     def paths_from(self, source: int) -> ShortestPathData:
         sp = self._sp.get(source)
@@ -197,3 +200,22 @@ class PathCache:
 
     def dist_from(self, source: int) -> tuple[int, ...]:
         return self.paths_from(source).dist
+
+    def next_hops(self, target: int) -> array:
+        """Routing tree toward ``target``: entry v is the smallest-id
+        neighbour of v one hop closer to ``target``, or UNREACHABLE where
+        there is none (``target`` itself and nodes it cannot reach)."""
+        hops = self._hops.get(target)
+        if hops is None:
+            dist = self.dist_from(target)
+            hops = array("i", [UNREACHABLE]) * len(dist)
+            for v, nbrs in enumerate(self.topology.adjacency):
+                goal = dist[v] - 1
+                if goal < 0:
+                    continue
+                for w in nbrs:  # sorted: first match = smallest id
+                    if dist[w] == goal:
+                        hops[v] = w
+                        break
+            self._hops[target] = hops
+        return hops

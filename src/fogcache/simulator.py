@@ -65,40 +65,35 @@ class SimMetrics:
     unsatisfied: int = 0
 
 
-def _route(topology: Topology, cache: PathCache, holders, consumer: int,
-           item: int) -> RouteOutcome:
-    """Forward one interest along the shortest path (ties: smallest next-hop
-    id) toward the nearest current holder; the origin always holds the item."""
-    origin = topology.origin
+def _choose_server(cache: PathCache, holders, consumer: int):
+    """First routing step: the holder nearest to ``consumer``, ties to the
+    smaller id, where the origin always holds the item.  Returns
+    ``(served_from, server)``."""
+    origin = cache.topology.origin
     if consumer in holders or consumer == origin:
-        return RouteOutcome(served_from="self", server=consumer, path=())
+        return "self", consumer
     dist = cache.dist_from(consumer)
-    best = dist[origin] if dist[origin] != UNREACHABLE else None
-    target = origin if best is not None else None
+    best, server = dist[origin], origin
+    if best == UNREACHABLE:
+        best, server = len(dist), None  # farther than any reachable node
     for h in holders:
         d = dist[h]
-        if d == UNREACHABLE:
-            continue
-        if best is None or d < best or (d == best and h < target):
-            best, target = d, h
-    if target is None:
-        return RouteOutcome(served_from="none", server=None, path=())
-    dist_t = cache.dist_from(target)
-    path = [consumer]
-    cur = consumer
-    server = None
-    while cur != target:
-        goal = dist_t[cur] - 1
-        for nb in topology.adjacency[cur]:  # sorted: first match = smallest id
-            if dist_t[nb] == goal:
-                cur = nb
-                break
-        path.append(cur)
-        if cur in holders or cur == origin:
-            server = cur
-            break
-    served = "origin" if server == origin else "cache"
-    return RouteOutcome(served_from=served, server=server, path=tuple(path))
+        if d != UNREACHABLE and (d < best or (d == best and h < server)):
+            best, server = d, h
+    if server is None:
+        return "none", None
+    return ("origin" if server == origin else "cache"), server
+
+
+def _walk(cache: PathCache, consumer: int, server: int):
+    """Second routing step: the hops strictly between ``consumer`` and
+    ``server`` on the server's next-hop tree.  Each hop is strictly closer to
+    ``consumer`` than the nearest holder, so none of them holds the item."""
+    hops = cache.next_hops(server)
+    v = hops[consumer]
+    while v != server:
+        yield v
+        v = hops[v]
 
 
 def route_interest(topology: Topology, caches, consumer: int, item: int,
@@ -110,31 +105,13 @@ def route_interest(topology: Topology, caches, consumer: int, item: int,
     """
     if item < 0:
         raise ValueError(f"invalid item rank {item}")
+    cache = cache or PathCache(topology)
     holders = {node for node, items in caches.items() if item in items}
-    return _route(topology, cache or PathCache(topology), holders, consumer, item)
-
-
-def _apply(metrics: SimMetrics, outcome: RouteOutcome, count: int) -> None:
-    metrics.interests_generated += count
-    kind = outcome.served_from
-    if kind == "self":
-        metrics.satisfied_self += count
-        return
-    if kind == "none":
-        metrics.unsatisfied += count
-        return
-    path = outcome.path
-    received = metrics.interests_received
-    fwd = metrics.forwards
-    for v in path[1:-1]:
-        received[v] += count
-        fwd[v] += count
-    received[outcome.server] += count
-    if kind == "cache":
-        metrics.cache_responses[outcome.server] += count
-        metrics.satisfied_from_cache += count
-    else:
-        metrics.satisfied_from_origin += count
+    served, server = _choose_server(cache, holders, consumer)
+    if served in ("self", "none"):
+        return RouteOutcome(served_from=served, server=server, path=())
+    path = (consumer, *_walk(cache, consumer, server), server)
+    return RouteOutcome(served_from=served, server=server, path=path)
 
 
 def run_simulation(topology: Topology, assignment: CacheAssignment,
@@ -154,19 +131,26 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
     for c, item in workload.draws:
         if c not in consumer_set:
             raise ValueError(f"workload consumer {c} lacks the consumer role")
-    metrics = SimMetrics(providers=roles.providers,
-                         interests_received=[0] * n,
-                         cache_responses=[0] * n,
-                         forwards=[0] * n)
+        if item < 0:
+            raise ValueError(f"invalid item rank {item}")
     holders: dict[int, set[int]] = assignment.holders_by_item()
+    empty: set[int] = set()
+    served_counts: Counter[str] = Counter()
+    responses = [0] * n
+    forwards = [0] * n
 
     if not lru_enabled:
         # static caches: outcomes depend only on the (consumer, item) pair,
         # so route each distinct pair once
-        empty: set[int] = set()
         for (c, item), count in Counter(workload.draws).items():
-            outcome = _route(topology, cache, holders.get(item, empty), c, item)
-            _apply(metrics, outcome, count)
+            served, server = _choose_server(cache, holders.get(item, empty), c)
+            served_counts[served] += count
+            if served == "cache":
+                responses[server] += count
+            elif served != "origin":
+                continue
+            for v in _walk(cache, c, server):
+                forwards[v] += count
     else:
         provider_set = set(roles.providers)
         capacity = assignment.buffer_items
@@ -176,26 +160,40 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
         for v in assignment.nodes():
             lru[v] = OrderedDict((item, None)
                                  for item in reversed(assignment.items_at(v)))
-        empty = set()
         for c, item in workload.draws:
-            outcome = _route(topology, cache, holders.get(item, empty), c, item)
-            _apply(metrics, outcome, 1)
-            if outcome.served_from == "cache" and outcome.server in lru:
-                lru[outcome.server].move_to_end(item)
-            elif outcome.served_from == "origin":
-                for v in outcome.path[1:-1]:
-                    if v not in provider_set:
-                        continue
-                    state = lru.setdefault(v, OrderedDict())
-                    if item in state:
-                        state.move_to_end(item)
-                        continue
-                    state[item] = None
-                    holders.setdefault(item, set()).add(v)
-                    if len(state) > capacity:
-                        evicted, _ = state.popitem(last=False)
-                        holders[evicted].discard(v)
+            served, server = _choose_server(cache, holders.get(item, empty), c)
+            served_counts[served] += 1
+            if served == "cache":
+                responses[server] += 1
+                lru[server].move_to_end(item)
+            elif served != "origin":
+                continue
+            for v in _walk(cache, c, server):
+                forwards[v] += 1
+                if served == "cache" or v not in provider_set:
+                    continue
+                state = lru.setdefault(v, OrderedDict())
+                if item in state:
+                    state.move_to_end(item)
+                    continue
+                state[item] = None
+                holders.setdefault(item, set()).add(v)
+                if len(state) > capacity:
+                    evicted, _ = state.popitem(last=False)
+                    holders[evicted].discard(v)
 
+    # a node receives every interest it forwards or serves
+    received = [f + r for f, r in zip(forwards, responses)]
+    received[topology.origin] += served_counts["origin"]
+    metrics = SimMetrics(providers=roles.providers,
+                         interests_received=received,
+                         cache_responses=responses,
+                         forwards=forwards,
+                         interests_generated=len(workload.draws),
+                         satisfied_from_cache=served_counts["cache"],
+                         satisfied_from_origin=served_counts["origin"],
+                         satisfied_self=served_counts["self"],
+                         unsatisfied=served_counts["none"])
     total = (metrics.satisfied_from_cache + metrics.satisfied_from_origin +
              metrics.satisfied_self + metrics.unsatisfied)
     assert total == metrics.interests_generated, "interest conservation violated"

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fogcache.graph import (UNREACHABLE, Topology, bfs_shortest_paths,
-                            connected_components, from_edges, load_topology,
-                            serialize_topology)
+from fogcache.graph import (UNREACHABLE, PathCache, Topology,
+                            bfs_shortest_paths, connected_components,
+                            from_edges, load_topology, serialize_topology)
 from oracles import naive_sigma, random_edge_set
 
 import random
@@ -123,6 +123,23 @@ class TestBfsShortestPaths:
                     continue
                 assert sp.sigma[v] == sum(sp.sigma[p] for p in sp.preds[v])
                 assert all(sp.dist[p] == sp.dist[v] - 1 for p in sp.preds[v])
+
+
+class TestNextHops:
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_smallest_predecessor(self, topo):
+        cache = PathCache(topo)
+        for t in range(topo.node_count):
+            preds = cache.paths_from(t).preds
+            assert list(cache.next_hops(t)) == [min(p) if p else UNREACHABLE
+                                                for p in preds]
+
+    def test_memoized_per_target(self):
+        cache = PathCache(load_topology("0 1\n1 2\n3 4"))
+        hops = cache.next_hops(0)
+        assert list(hops) == [UNREACHABLE, 0, 1, UNREACHABLE, UNREACHABLE]
+        assert cache.next_hops(0) is hops
 
 
 class TestConnectedComponents:

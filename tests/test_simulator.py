@@ -1,14 +1,17 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fogcache import graph
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.graph import PathCache, from_edges
 from fogcache.placement import CacheAssignment, place_greedy_popular
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
                                 pooled_hit_rate, route_interest,
                                 run_simulation, success_rate, SimMetrics)
-from oracles import random_edge_set
+from oracles import naive_simulation, random_edge_set
 
 
 def line_topology(n, origin=None):
@@ -30,6 +33,41 @@ def roles_of(consumers, providers, passive=(), seed=0):
 
 def workload_of(draws):
     return InterestWorkload(draws=tuple(draws), seed=0)
+
+
+@st.composite
+def simulation_cases(draw):
+    """Small random snapshots, roles, placements and draws.  ``split`` cuts
+    the graph in two with the origin on the far side of one consumer;
+    ``on_consumer`` and ``at_origin`` place an extra cache there."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    split = draw(st.booleans())
+    on_consumer = draw(st.booleans())
+    at_origin = draw(st.booleans())
+    edges = random_edge_set(rng, n, rng.choice((0.2, 0.35, 0.5)))
+    cut = rng.randrange(1, n)
+    if split:
+        edges = [(a, b) for a, b in edges if (a < cut) == (b < cut)]
+    origin = rng.randrange(cut, n) if split else rng.randrange(n)
+    topology = from_edges(edges, nodes=range(n), origin_spec=origin)
+    others = [v for v in range(n) if v not in (origin, 0)]
+    rng.shuffle(others)
+    consumers = sorted({0, *others[:rng.randrange(len(others) + 1)]})
+    providers = sorted(v for v in range(n)
+                       if v not in consumers and v != origin and rng.random() < 0.7)
+    catalog_size = rng.randint(1, 6)
+    capacity = rng.randint(1, 3)
+    caches = {v: tuple(sorted(rng.sample(range(catalog_size),
+                                         rng.randint(0, min(capacity, catalog_size)))))
+              for v in providers}
+    if on_consumer:
+        caches[0] = (rng.randrange(catalog_size),)
+    if at_origin:
+        caches[origin] = (rng.randrange(catalog_size),)
+    draws = [(rng.choice(consumers), rng.randrange(catalog_size))
+             for _ in range(rng.randint(0, 40))]
+    return topology, caches, consumers, providers, capacity, draws
 
 
 class TestAssignRoles:
@@ -199,11 +237,78 @@ class TestRunSimulation:
                               roles, workload)
         assert more.satisfied_from_cache >= base.satisfied_from_cache
 
+    @pytest.mark.parametrize("lru", [False, True])
+    def test_negative_item_rejected(self, lru):
+        with pytest.raises(ValueError, match="invalid item rank -1"):
+            run_simulation(line_topology(3), static_assignment({}),
+                           roles_of([0], [1]), workload_of([(0, -1)]),
+                           lru_enabled=lru)
+
+    @pytest.mark.parametrize("lru", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(case=simulation_cases())
+    def test_matches_naive_oracle(self, lru, case):
+        topology, caches, consumers, providers, capacity, draws = case
+        metrics = run_simulation(topology, static_assignment(caches, capacity),
+                                 roles_of(consumers, providers),
+                                 workload_of(draws), lru_enabled=lru)
+        expected = naive_simulation(topology, caches, set(providers), draws,
+                                    capacity, lru)
+        assert dataclasses.asdict(metrics) == {"providers": tuple(providers),
+                                               **expected}
+
     def test_workload_consumer_outside_roles_rejected(self):
         topo = line_topology(3)
         with pytest.raises(ValueError, match="consumer role"):
             run_simulation(topo, static_assignment({}), roles_of([0], [1]),
                            workload_of([(1, 0)]))
+
+
+class TestPathCacheReuse:
+    def cell(self):
+        rng = random.Random(0)
+        topo = from_edges(random_edge_set(rng, 14, 0.2), nodes=range(14),
+                          origin_spec=13)
+        roles = assign_roles(topo, 0.4, 0.4, seed=2)
+        catalog = zipf_catalog(8)
+        assignment = place_greedy_popular(catalog, roles.providers, 2)
+        workload = generate_interests(catalog, roles.consumers, 300, seed=3)
+        return topo, assignment, roles, workload
+
+    def count_bfs(self, monkeypatch):
+        sources = []
+        bfs = graph.bfs_shortest_paths
+        monkeypatch.setattr(graph, "bfs_shortest_paths",
+                            lambda topo, s: sources.append(s) or bfs(topo, s))
+        return sources
+
+    def test_bfs_once_per_routed_consumer_and_server(self, monkeypatch):
+        # the same sources as hop-by-hop routing: each consumer that looks
+        # for a holder and each server it routes to
+        topo, assignment, roles, workload = self.cell()
+        caches = {v: assignment.items_at(v) for v in assignment.nodes()}
+        routed = [(c, route_interest(topo, caches, c, item))
+                  for c, item in set(workload.draws)]
+        expected = ({c for c, o in routed if o.served_from != "self"} |
+                    {o.server for c, o in routed if o.path})
+        assert {o.served_from for _, o in routed} == {"cache", "origin", "none"}
+        sources = self.count_bfs(monkeypatch)
+        run_simulation(topo, assignment, roles, workload, path_cache=PathCache(topo))
+        assert sorted(sources) == sorted(expected)
+
+    def test_second_run_builds_nothing(self, monkeypatch):
+        topo, assignment, roles, workload = self.cell()
+        cache = PathCache(topo)
+        first = [run_simulation(topo, assignment, roles, workload, lru, cache)
+                 for lru in (False, True)]
+        hops = dict(cache._hops)
+        sources = self.count_bfs(monkeypatch)
+        again = [run_simulation(topo, assignment, roles, workload, lru, cache)
+                 for lru in (False, True)]
+        assert again == first
+        assert sources == []
+        assert cache._hops.keys() == hops.keys()
+        assert all(cache._hops[t] is hops[t] for t in hops)
 
 
 class TestMetrics:
