@@ -87,5 +87,14 @@ def load_workload(stream, seed: int = 0) -> InterestWorkload:
     header = next(reader, None)
     if header != ["consumer_id", "item_rank"]:
         raise ValueError("workload file missing 'consumer_id,item_rank' header")
-    draws = tuple((int(row[0]), int(row[1])) for row in reader if row)
-    return InterestWorkload(draws=draws, seed=seed)
+    draws = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            consumer, rank = row
+            draws.append((int(consumer), int(rank)))
+        except ValueError:
+            raise ValueError(f"line {reader.line_num}: expected two integers "
+                             f"consumer_id,item_rank, got {row!r}") from None
+    return InterestWorkload(draws=tuple(draws), seed=seed)

@@ -3,11 +3,12 @@ in exact (per-item placement) and scalable replica-class forms."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, PathCache, Topology
+from .graph import UNREACHABLE, PathCache, ShortestPathData, Topology
 
 
 class PowerIterationError(RuntimeError):
@@ -53,20 +54,40 @@ def closeness_centrality(topology: Topology, cache: PathCache | None = None) -> 
     return _scores("closeness", raw)
 
 
+def _accumulate(raw: list[float], topology: Topology, sp: ShortestPathData,
+                weights) -> None:
+    """Target-weighted Brandes dependency accumulation (Brandes 2008) from
+    ``sp.source``: adds to ``raw[v]``, for every v but the source, the sum
+    over targets t of ``weights[t]`` times the fraction of shortest
+    source->t paths on which v lies strictly before t.  Predecessors are the
+    neighbours one hop closer to the source.  Weight on the source itself is
+    never read: a consumer that holds an item is its own nearest holder and
+    sends that item's interests through no one."""
+    adjacency = topology.adjacency
+    dist, sigma = sp.dist, sp.sigma
+    delta = [0.0] * len(dist)
+    for w in sp.order[:0:-1]:  # farthest first; the source needs no pass
+        dw = delta[w]
+        if dw:
+            raw[w] += dw
+        acc = weights[w] + dw
+        if not acc:
+            continue
+        coeff = acc / sigma[w]
+        closer = dist[w] - 1
+        for p in adjacency[w]:
+            if dist[p] == closer:
+                delta[p] += sigma[p] * coeff
+
+
 def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -> CentralityScores:
     """Brandes dependency accumulation over unordered node pairs."""
     n = topology.node_count
     cache = cache or PathCache(topology)
     raw = [0.0] * n
+    unit = [1.0] * n
     for s in range(n):
-        sp = cache.paths_from(s)
-        delta = [0.0] * n
-        for w in reversed(sp.order):
-            coeff = (1.0 + delta[w]) / sp.sigma[w]
-            for p in sp.preds[w]:
-                delta[p] += sp.sigma[p] * coeff
-            if w != s:
-                raw[w] += delta[w]
+        _accumulate(raw, topology, cache.paths_from(s), unit)
     # each unordered pair was accumulated from both endpoints
     return _scores("betweenness", (x / 2.0 for x in raw))
 
@@ -144,36 +165,20 @@ class ReplicationPolicy:
         return [len(ranks) for ranks in unique.values()], len(miss)
 
 
-def _path_fraction_vector(sp, targets, n) -> list[float] | None:
-    """For fixed source ``sp.source`` and equal-distance target set
-    ``targets``, returns F with F[v] = (shortest source->targets paths through
-    interior v) / (all shortest source->targets paths); None if unreachable."""
-    targets = [t for t in targets if sp.dist[t] != UNREACHABLE]
-    if not targets:
-        return None
-    total = sum(sp.sigma[t] for t in targets)
-    tcount = [0] * n
-    in_targets = [False] * n
-    for t in targets:
-        in_targets[t] = True
-    dmax = max(sp.dist[t] for t in targets)
-    for w in reversed(sp.order):
-        if sp.dist[w] > dmax:
-            continue
-        if in_targets[w]:
-            tcount[w] = 1
-        tw = tcount[w]
-        if tw:
-            for p in sp.preds[w]:
-                tcount[p] += tw
-    frac = [0.0] * n
-    src = sp.source
-    for v in range(n):
-        if v == src or in_targets[v]:
-            continue
-        if tcount[v]:
-            frac[v] = sp.sigma[v] * tcount[v] / total
-    return frac
+def _serve(weights: list[float], sp: ShortestPathData, holders, size: int) -> None:
+    """Route ``size`` interests from ``sp.source`` to its nearest reachable
+    ``holders``: the equidistant nearest ones split them by their share of
+    shortest paths, size·σ_t/Σσ onto each such holder t.  Nothing is added
+    when no holder is reachable; a holder listed twice counts once."""
+    dist, sigma = sp.dist, sp.sigma
+    reachable = {h for h in holders if dist[h] != UNREACHABLE}
+    if not reachable:
+        return
+    best = min(dist[h] for h in reachable)
+    nearest = [h for h in reachable if dist[h] == best]
+    total = sum(sigma[t] for t in nearest)
+    for t in nearest:
+        weights[t] += size * sigma[t] / total
 
 
 def cbc_exact(topology: Topology, consumers, placement, catalog_size: int,
@@ -197,39 +202,18 @@ def cbc_exact(topology: Topology, consumers, placement, catalog_size: int,
                 raise ValueError(f"placement references unknown content id {item}")
             holders_by_item.setdefault(item, set()).add(node)
     origin = topology.origin
+    # items with the same holder set are routed alike: count them together
+    groups = Counter(frozenset(holders_by_item.get(item, ())) | {origin}
+                     for item in range(catalog_size))
     raw = [0.0] * n
     for u in sorted(set(consumers)):
         if not 0 <= u < n:
             raise ValueError(f"invalid consumer id {u}")
         sp = cache.paths_from(u)
-        # group items by their nearest-holder set: the fraction vector is a
-        # function of that set alone
-        groups: dict[frozenset[int], int] = {}
-        for item in range(catalog_size):
-            holders = holders_by_item.get(item, set())
-            if u in holders or u == origin:
-                continue
-            best = UNREACHABLE
-            for h in holders:
-                d = sp.dist[h]
-                if d != UNREACHABLE and (best == UNREACHABLE or d < best):
-                    best = d
-            d_origin = sp.dist[origin]
-            if d_origin != UNREACHABLE and (best == UNREACHABLE or d_origin < best):
-                best = d_origin
-            if best == UNREACHABLE:
-                continue
-            nearest = frozenset(
-                h for h in holders if sp.dist[h] == best) | (
-                frozenset((origin,)) if d_origin == best else frozenset())
-            groups[nearest] = groups.get(nearest, 0) + 1
-        for targets, count in groups.items():
-            frac = _path_fraction_vector(sp, targets, n)
-            if frac is None:
-                continue
-            for v in range(n):
-                if frac[v]:
-                    raw[v] += count * frac[v]
+        weights = [0.0] * n
+        for holders, count in groups.items():
+            _serve(weights, sp, holders, count)
+        _accumulate(raw, topology, sp, weights)
     return _scores("cbc_exact", raw)
 
 
@@ -251,69 +235,32 @@ def cbc_replication(topology: Topology, consumers, policy: ReplicationPolicy,
         if not 0 <= w < n:
             raise ValueError(f"invalid caching node id {w}")
     common, unique, miss = policy.layout(caching_order)
-    common_size, miss_count = len(common), len(miss)
-    caching_set = set(caching_order)
     origin = topology.origin
+    common_holders = (*caching_order, origin)
     raw = [0.0] * n
     for u in sorted(set(consumers)):
-        if not 0 <= u < n or u == origin:
-            continue
+        if not 0 <= u < n:
+            raise ValueError(f"invalid consumer id {u}")
         sp = cache.paths_from(u)
         d_origin = sp.dist[origin]
-        origin_reachable = d_origin != UNREACHABLE
-
-        # common class: nearest holders among caching nodes + origin
-        if common_size and u not in caching_set:
-            candidates = [w for w in caching_order if sp.dist[w] != UNREACHABLE]
-            best = d_origin if origin_reachable else UNREACHABLE
-            for w in candidates:
-                if best == UNREACHABLE or sp.dist[w] < best:
-                    best = sp.dist[w]
-            if best != UNREACHABLE:
-                targets = {w for w in candidates if sp.dist[w] == best}
-                if origin_reachable and d_origin == best:
-                    targets.add(origin)
-                frac = _path_fraction_vector(sp, targets, n)
-                for v in range(n):
-                    if frac[v]:
-                        raw[v] += common_size * frac[v]
-
-        # unique classes: single-target ones fold into one weighted Brandes
-        # pass; ties with the origin distance need a joint target set
         weights = [0.0] * n
-        origin_weight = float(miss_count) if origin_reachable else 0.0
-        tie_classes = []
+        if common:
+            _serve(weights, sp, common_holders, len(common))
+        # a unique class is served by the nearer of its node and the origin
+        # (split when equidistant); origin-served ones join the miss class
+        origin_weight = len(miss)
         for w, ranks in unique.items():
-            size = len(ranks)
-            if not size or w == u:
+            if not ranks:
                 continue
             dw = sp.dist[w]
-            if dw == UNREACHABLE:
-                if origin_reachable:
-                    origin_weight += size
-                continue
-            if not origin_reachable or dw < d_origin:
-                weights[w] += size
+            if dw == UNREACHABLE or (d_origin != UNREACHABLE and d_origin < dw):
+                origin_weight += len(ranks)
             elif dw == d_origin:
-                tie_classes.append((w, size))
+                _serve(weights, sp, (w, origin), len(ranks))
             else:
-                origin_weight += size
-        if origin_reachable:
-            weights[origin] += origin_weight
-        if any(weights):
-            delta = [0.0] * n
-            for w in reversed(sp.order):
-                coeff = (weights[w] + delta[w]) / sp.sigma[w]
-                for p in sp.preds[w]:
-                    delta[p] += sp.sigma[p] * coeff
-            for v in range(n):
-                if v != u and delta[v]:
-                    raw[v] += delta[v]
-        for w, size in tie_classes:
-            frac = _path_fraction_vector(sp, {w, origin}, n)
-            for v in range(n):
-                if frac[v]:
-                    raw[v] += size * frac[v]
+                weights[w] += len(ranks)
+        weights[origin] += origin_weight  # never read if the origin is unreachable
+        _accumulate(raw, topology, sp, weights)
     return _scores("cbc_replication", raw)
 
 

@@ -41,16 +41,17 @@ class Topology:
 
 @dataclass(frozen=True)
 class ShortestPathData:
-    """Single-source BFS result: hop distances, path counts, predecessor DAG.
+    """Single-source BFS result: hop distances and shortest-path counts.
 
-    ``order`` lists nodes in non-decreasing distance (BFS visitation order);
-    accumulation passes walk it in reverse.
+    ``order`` lists the reached nodes in non-decreasing distance (BFS
+    visitation order, ``source`` first); accumulation passes walk it in
+    reverse.  The shortest-path predecessors of v are its neighbours p with
+    ``dist[p] == dist[v] - 1``.
     """
 
     source: int
     dist: tuple[int, ...]
     sigma: tuple[int, ...]
-    preds: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
 
 
@@ -126,33 +127,29 @@ def serialize_topology(topology: Topology) -> str:
 
 
 def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
-    """BFS from ``source`` counting all distinct shortest paths and recording
-    the shortest-path predecessor DAG."""
+    """BFS from ``source`` counting all distinct shortest paths (Python ints,
+    exact beyond 2^53)."""
     n = topology.node_count
     if not 0 <= source < n:
         raise ValueError(f"invalid source id {source}")
     dist = [UNREACHABLE] * n
     sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
     dist[source] = 0
     sigma[source] = 1
-    queue = deque([source])
+    order = [source]
     adjacency = topology.adjacency
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        dv = dist[v]
+    for v in order:  # appending while iterating: order doubles as the queue
+        dnext = dist[v] + 1
         sv = sigma[v]
         for w in adjacency[v]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dv + 1
-                queue.append(w)
-            if dist[w] == dv + 1:
+            dw = dist[w]
+            if dw == UNREACHABLE:
+                dist[w] = dnext
+                sigma[w] = sv
+                order.append(w)
+            elif dw == dnext:
                 sigma[w] += sv
-                preds[w].append(v)
     return ShortestPathData(source=source, dist=tuple(dist), sigma=tuple(sigma),
-                            preds=tuple(tuple(p) for p in preds),
                             order=tuple(order))
 
 
@@ -179,8 +176,9 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 
 class PathCache:
-    """Lazily memoized per-source BFS results and per-target next-hop arrays
-    for one immutable topology.
+    """Lazily memoized per-source BFS results (distances, path counts and
+    visitation order) and per-target next-hop arrays for one immutable
+    topology.
 
     Routing and centrality passes reuse BFS output across runs; memoization is
     append-only so concurrent readers under the GIL are safe.

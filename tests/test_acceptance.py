@@ -162,7 +162,7 @@ def test_criterion_5_success_rate_ordering(default_results, capsys):
     assert strictly_better == 3, (
         "success rate is 1.0 for every scheme on connected topologies: the "
         "per-interest success definition cannot strictly separate schemes "
-        "there; see the decisions ledger for the full analysis")
+        "there; see the README Tests section for the full analysis")
 
 
 def test_criterion_6_zipf_correctness(capsys):

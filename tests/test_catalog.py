@@ -111,3 +111,9 @@ class TestWorkloadCsv:
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             load_workload(io.StringIO("1,2\n"))
+
+    @pytest.mark.parametrize("row", ["3", "3,4,5", "3,x"])
+    def test_malformed_row_rejected(self, row):
+        text = f"consumer_id,item_rank\n1,2\n{row}\n"
+        with pytest.raises(ValueError, match="line 3"):
+            load_workload(io.StringIO(text))

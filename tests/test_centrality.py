@@ -264,6 +264,37 @@ class TestCbcReplication:
                           concretize_classes(policy, caching), 10).raw
         assert all(abs(a - b) < 1e-9 for a, b in zip(repl, exact))
 
+    def test_origin_among_caching_nodes(self):
+        # the common item's nearest holders 2 (the origin) and 4 split it
+        topo = from_edges([(0, 1), (1, 2), (0, 3), (3, 4)], origin_spec=2)
+        policy = ReplicationPolicy(alpha=1.0, buffer_items=1, catalog_size=1)
+        repl = cbc_replication(topo, [0], policy, [2, 4]).raw
+        assert repl == (0.0, 0.5, 0.0, 0.5, 0.0)
+        assert repl == cbc_exact(topo, [0], concretize_classes(policy, [2, 4]), 1).raw
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_invalid_consumer_rejected(self, bad):
+        topo = from_edges([(0, 1), (1, 2), (2, 3)], origin_spec=3)
+        policy = ReplicationPolicy(alpha=0.5, buffer_items=2, catalog_size=5)
+        with pytest.raises(ValueError, match=f"invalid consumer id {bad}"):
+            cbc_exact(topo, [bad, 0], {}, 5)
+        with pytest.raises(ValueError, match=f"invalid consumer id {bad}"):
+            cbc_replication(topo, [bad, 0], policy, [1])
+
+    def test_path_counts_beyond_float_precision(self):
+        # 60 diamonds in a row: hubs 3i, middles 3i+1 and 3i+2, so the
+        # consumer 0 reaches the origin 180 over 2^60 shortest paths
+        edges = []
+        for h in range(0, 180, 3):
+            edges += [(h, h + 1), (h, h + 2), (h + 1, h + 3), (h + 2, h + 3)]
+        topo = from_edges(edges, origin_spec=180)
+        assert PathCache(topo).paths_from(0).sigma[180] == 2 ** 60
+        expected = tuple(0.0 if v in (0, 180) else 3.0 if v % 3 == 0 else 1.5
+                         for v in range(181))
+        policy = ReplicationPolicy(alpha=0.0, buffer_items=1, catalog_size=3)
+        assert cbc_exact(topo, [0], {}, 3).raw == expected
+        assert cbc_replication(topo, [0], policy, []).raw == expected
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_matches_exact_on_concretized_classes(self, seed):

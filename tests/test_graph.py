@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from fogcache.graph import (UNREACHABLE, PathCache, Topology,
                             bfs_shortest_paths, connected_components,
                             from_edges, load_topology, serialize_topology)
-from oracles import naive_sigma, random_edge_set
+from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist,
+                     random_edge_set)
 
 import random
 
@@ -18,6 +19,15 @@ def small_graphs(max_nodes=8):
         edges = random_edge_set(rng, n)
         return from_edges(edges, nodes=range(n))
     return build()
+
+
+def oracle_preds(topo, source):
+    """Shortest-path predecessors of every node, from the oracle BFS: the
+    neighbours one hop closer to ``source``."""
+    adj = adjacency_sets(topo)
+    dist = plain_bfs_dist(adj, source)
+    return [sorted(p for p in adj[v] if v in dist and dist.get(p) == dist[v] - 1)
+            for v in range(topo.node_count)]
 
 
 class TestLoadTopology:
@@ -117,12 +127,13 @@ class TestBfsShortestPaths:
     def test_predecessor_sum_identity(self, topo):
         for s in range(topo.node_count):
             sp = bfs_shortest_paths(topo, s)
+            preds = oracle_preds(topo, s)
             assert sp.sigma[s] == 1 and sp.dist[s] == 0
             for v in range(topo.node_count):
                 if v == s or sp.dist[v] == UNREACHABLE:
                     continue
-                assert sp.sigma[v] == sum(sp.sigma[p] for p in sp.preds[v])
-                assert all(sp.dist[p] == sp.dist[v] - 1 for p in sp.preds[v])
+                assert sp.sigma[v] == sum(sp.sigma[p] for p in preds[v])
+                assert all(sp.dist[p] == sp.dist[v] - 1 for p in preds[v])
 
 
 class TestNextHops:
@@ -131,9 +142,8 @@ class TestNextHops:
     def test_smallest_predecessor(self, topo):
         cache = PathCache(topo)
         for t in range(topo.node_count):
-            preds = cache.paths_from(t).preds
             assert list(cache.next_hops(t)) == [min(p) if p else UNREACHABLE
-                                                for p in preds]
+                                                for p in oracle_preds(topo, t)]
 
     def test_memoized_per_target(self):
         cache = PathCache(load_topology("0 1\n1 2\n3 4"))
