@@ -158,12 +158,6 @@ class ReplicationPolicy:
         unique = {w: range(bounds[i], bounds[i + 1]) for i, w in enumerate(order)}
         return range(common), unique, range(bounds[-1], self.catalog_size)
 
-    def realized_unique_sizes(self, caching_order) -> tuple[list[int], int]:
-        """Per-node unique-class sizes in fog order plus the miss-class size
-        N_m."""
-        _, unique, miss = self.layout(caching_order)
-        return [len(ranks) for ranks in unique.values()], len(miss)
-
 
 def _serve(weights: list[float], sp: ShortestPathData, holders, size: int) -> None:
     """Route ``size`` interests from ``sp.source`` to its nearest reachable

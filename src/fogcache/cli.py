@@ -95,7 +95,7 @@ def _write(text: str, output: str) -> None:
 
 
 def _load(path: str):
-    return load_topology(Path(path).read_text(), label=Path(path).stem)
+    return load_topology(Path(path).read_text())
 
 
 def _cell(args, topology):
@@ -112,9 +112,7 @@ def _cell(args, topology):
 
 def _experiment_overrides(args) -> dict:
     overrides = {}
-    for key in ("schemes", "alphas", "repetitions", "interests", "buffer_items",
-                "catalog_size", "zipf_exponent", "consumer_frac",
-                "provider_frac", "master_seed", "workers", "output_dir"):
+    for key in exp.CONFIG_KEYS:  # no args.topologies: --topology is joined below
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

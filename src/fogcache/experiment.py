@@ -59,6 +59,11 @@ class ExperimentPlan:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        labels = tuple(label for label, _ in self.topologies)
+        for name, values in (("topology labels", labels),
+                             ("schemes", self.schemes), ("alphas", self.alphas)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"duplicate {name} in {list(values)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if any(not 0.0 <= a <= 1.0 for a in self.alphas):
@@ -139,7 +144,7 @@ def assignment_for(scheme: str, topology: Topology,
         # popular content streams past on return paths
         assignment = CacheAssignment(scheme=scheme, common_parts={},
                                      unique_parts={v: () for v in providers},
-                                     fog=tuple(providers), alpha=None,
+                                     fog=tuple(providers),
                                      buffer_items=policy.buffer_items)
     elif scheme == "no_fog":
         assignment = place_noncollaborative(catalog, providers,
@@ -177,7 +182,7 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     label, topology = plan.topologies[topology_index]
     catalog = plan.catalog()
     cache = PathCache(topology)
-    # classic scores depend on the topology alone, cbc also on roles and alpha
+    # classic scores depend on the topology alone; cbc is computed per cell
     classic = {kind: centrality_for(kind, topology, cache)
                for kind in RANKED if kind != "cbc" and kind in plan.schemes}
 
@@ -190,21 +195,22 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
         workload = generate_interests(catalog, roles.consumers,
                                       plan.interests_per_run, workload_seed)
         providers = sorted(roles.providers)
-        # schemes outside RANKED ignore alpha: measure them once per repetition
-        alpha_free: dict[str, dict] = {}
+        # a cell reads alpha only through the replica-class sizes, and the
+        # schemes outside RANKED not at all: measure each distinct cell once
+        cells: dict[tuple, dict] = {}
         for alpha in plan.alphas:
             policy = ReplicationPolicy(alpha, plan.buffer_items, plan.catalog_size)
-            scores = dict(classic)
-            if "cbc" in plan.schemes:
-                scores["cbc"] = centrality_for("cbc", topology, cache, roles, policy)
+            sizes = (policy.common_class_size, policy.unique_class_size)
             for scheme in plan.schemes:
-                measured = alpha_free.get(scheme)
+                key = (scheme, sizes if scheme in RANKED else None)
+                measured = cells.get(key)
                 if measured is None:
-                    assignment = assignment_for(scheme, topology, scores.get(scheme),
-                                                catalog, providers, policy)
-                    measured = simulate(topology, assignment, roles, workload, cache)
-                    if scheme not in RANKED:
-                        alpha_free[scheme] = measured
+                    scores = (centrality_for("cbc", topology, cache, roles, policy)
+                              if scheme == "cbc" else classic.get(scheme))
+                    assignment = assignment_for(scheme, topology, scores, catalog,
+                                                providers, policy)
+                    measured = cells[key] = simulate(topology, assignment, roles,
+                                                     workload, cache)
                 rows.append({"topology": label, "scheme": scheme,
                              "alpha": alpha, "repetition": rep,
                              "seed": workload_seed, **measured})
@@ -357,7 +363,7 @@ def plan_from_config(config: dict, base_dir=".") -> tuple[ExperimentPlan, str]:
         topologies = []
         for item in str(config["topologies"]).split(","):
             path = base / item.strip()
-            topo = load_topology(path.read_text(), label=path.stem)
+            topo = load_topology(path.read_text())
             topologies.append((path.stem, topo))
         kwargs["topologies"] = tuple(topologies)
     else:

@@ -20,7 +20,6 @@ class Topology:
     adjacency: tuple[tuple[int, ...], ...]
     origin: int
     original_ids: tuple[int, ...]
-    snapshot_label: str = ""
 
     @property
     def node_count(self) -> int:
@@ -55,7 +54,7 @@ class ShortestPathData:
     order: tuple[int, ...]
 
 
-def from_edges(edges, nodes=None, origin_spec="auto", label=""):
+def from_edges(edges, nodes=None, origin_spec="auto"):
     """Build a validated Topology from an iterable of original-id edge pairs.
 
     ``nodes`` may add isolated nodes beyond the edge endpoints.  ``origin_spec``
@@ -88,11 +87,10 @@ def from_edges(edges, nodes=None, origin_spec="auto", label=""):
         if origin_spec not in dense:
             raise ValueError(f"origin id {origin_spec} absent from node set")
         origin = dense[origin_spec]
-    return Topology(adjacency=adjacency, origin=origin,
-                    original_ids=original_ids, snapshot_label=label)
+    return Topology(adjacency=adjacency, origin=origin, original_ids=original_ids)
 
 
-def load_topology(text, origin_spec="auto", label=""):
+def load_topology(text, origin_spec="auto"):
     """Parse a whitespace-separated edge-list document (one edge per line).
 
     Lines starting with '#' are ignored; duplicate edges collapse.
@@ -112,7 +110,7 @@ def load_topology(text, origin_spec="auto", label=""):
         edges.append((a, b))
     if not edges:
         raise ValueError("empty document: no edges")
-    return from_edges(edges, origin_spec=origin_spec, label=label)
+    return from_edges(edges, origin_spec=origin_spec)
 
 
 def serialize_topology(topology: Topology) -> str:

@@ -18,7 +18,6 @@ class CacheAssignment:
     common_parts: dict[int, tuple[int, ...]]
     unique_parts: dict[int, tuple[int, ...]]
     fog: tuple[int, ...]
-    alpha: float | None
     buffer_items: int
 
     def nodes(self) -> list[int]:
@@ -58,7 +57,7 @@ def place_fog(topology: Topology, scores: CentralityScores, catalog: ContentCata
     common = tuple(common)
     return CacheAssignment(scheme="fog", common_parts={v: common for v in order},
                            unique_parts={v: tuple(r) for v, r in unique.items()},
-                           fog=tuple(order), alpha=alpha, buffer_items=buffer_items)
+                           fog=tuple(order), buffer_items=buffer_items)
 
 
 def place_greedy_popular(catalog: ContentCatalog, caching_nodes,
@@ -72,8 +71,7 @@ def place_greedy_popular(catalog: ContentCatalog, caching_nodes,
     return CacheAssignment(scheme="greedy_popular",
                            common_parts={v: top for v in nodes},
                            unique_parts={v: () for v in nodes},
-                           fog=tuple(nodes), alpha=None,
-                           buffer_items=buffer_items)
+                           fog=tuple(nodes), buffer_items=buffer_items)
 
 
 def place_noncollaborative(catalog: ContentCatalog, caching_nodes,
@@ -87,7 +85,7 @@ def place_noncollaborative(catalog: ContentCatalog, caching_nodes,
     return CacheAssignment(scheme="noncollaborative",
                            common_parts={v: () for v in nodes},
                            unique_parts={v: top for v in nodes},
-                           fog=(), alpha=None, buffer_items=buffer_items)
+                           fog=(), buffer_items=buffer_items)
 
 
 def fog_distinct_items(assignment: CacheAssignment) -> set[int]:

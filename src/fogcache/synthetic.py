@@ -57,7 +57,7 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
         raise ValueError("generation parameters yielded an empty edge set")
 
     label = f"{kind}-n{node_count}-d{density:g}-s{seed}"
-    full = from_edges(edges, nodes=range(node_count), label=label)
+    full = from_edges(edges, nodes=range(node_count))
     giant = max(connected_components(full), key=lambda c: (len(c), -min(c)))
     if len(giant) < node_count:
         if len(giant) < 0.95 * node_count:
@@ -66,7 +66,7 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
                 stacklevel=2)
         keep = set(giant)
         edges = [(a, b) for a, b in edges if a in keep and b in keep]
-        full = from_edges(edges, label=label)
+        full = from_edges(edges)
     return replace(full, origin=_peripheral_node(full))
 
 

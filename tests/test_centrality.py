@@ -216,9 +216,9 @@ class TestReplicationPolicy:
     def test_common_class_exceeding_catalog(self):
         policy = ReplicationPolicy(alpha=1.0, buffer_items=20, catalog_size=10)
         assert policy.common_class_size == 10
-        sizes, miss = policy.realized_unique_sizes([0, 1])
-        assert sizes == [0, 0]
-        assert miss == 0
+        _, unique, miss = policy.layout([0, 1])
+        assert [len(ranks) for ranks in unique.values()] == [0, 0]
+        assert len(miss) == 0
 
     def test_layout_ranks_follow_fog_order(self):
         policy = ReplicationPolicy(alpha=0.5, buffer_items=4, catalog_size=9)
@@ -234,9 +234,9 @@ class TestReplicationPolicy:
 
     def test_realized_sizes_trim_and_miss(self):
         policy = ReplicationPolicy(alpha=0.5, buffer_items=4, catalog_size=10)
-        sizes, miss = policy.realized_unique_sizes([0, 1, 2, 3, 4, 5])
-        assert sizes == [2, 2, 2, 2, 0, 0]
-        assert miss == 0
+        _, unique, miss = policy.layout([0, 1, 2, 3, 4, 5])
+        assert [len(ranks) for ranks in unique.values()] == [2, 2, 2, 2, 0, 0]
+        assert len(miss) == 0
 
 
 class TestCbcReplication:

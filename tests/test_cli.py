@@ -140,6 +140,15 @@ class TestExperimentCommand:
         config.write_text("wat = 1\n")
         assert main(["experiment", "--config", str(config)]) == 1
 
+    def test_duplicates_are_config_errors(self, line_file, tmp_path):
+        small = ["experiment", "--schemes", "no_fog", "--repetitions", "1",
+                 "--interests", "10", "--output-dir", str(tmp_path / "out")]
+        assert main(small + ["--topology", str(line_file),
+                             "--alphas", "0.5,0.5"]) == 1
+        assert main(small + ["--topology", str(line_file),
+                             "--topology", str(line_file)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",

@@ -137,6 +137,21 @@ class TestRunExperiment:
         assert calls == {"cbc_replication": 2 * 2, "place_fog": 2 * 5 * 2,
                          "static": 2 * (5 * 2 + 1), "lru": 2}
 
+    def test_cells_sharing_a_layout_measured_once(self, monkeypatch):
+        # at buffer 2, alpha 0.5 and 0.75 both give common 1 and unique 1
+        calls = self.count_layer_calls(
+            monkeypatch, tiny_plan(schemes=SCHEMES, alphas=(0.5, 0.75)))
+        assert calls == {"cbc_replication": 2, "place_fog": 2 * 5,
+                         "static": 2 * (5 + 1), "lru": 2}
+
+    def test_each_alpha_matches_a_plan_of_its_own(self):
+        # at buffer 2 these give two distinct layouts, (0, 2) and (1, 1)
+        alphas = (0.25, 0.5, 0.75)
+        rows = run_experiment(tiny_plan(schemes=SCHEMES, alphas=alphas)).rows
+        for alpha in alphas:
+            alone = run_experiment(tiny_plan(schemes=SCHEMES, alphas=(alpha,)))
+            assert [r for r in rows if r["alpha"] == alpha] == alone.rows
+
     def test_no_fog_needs_no_cbc(self, monkeypatch):
         calls = self.count_layer_calls(monkeypatch, tiny_plan(schemes=("no_fog",)))
         assert calls == {"cbc_replication": 0, "place_fog": 0, "static": 2,
@@ -208,6 +223,16 @@ class TestRunExperiment:
             tiny_plan(alphas=(1.5,))
         with pytest.raises(ValueError, match="workers"):
             tiny_plan(workers=0)
+
+    def test_duplicates_rejected(self):
+        # a repeated alpha or scheme would double its rows in the aggregates,
+        # a repeated label would pool two topologies into one mean
+        twins = (("x", small_topology(1)), ("x", small_topology(2)))
+        for overrides, name in ((dict(alphas=(0.5, 0.5)), "alphas"),
+                                (dict(schemes=("cbc", "no_fog", "cbc")), "schemes"),
+                                (dict(topologies=twins), "topology labels")):
+            with pytest.raises(ValueError, match=f"duplicate {name}"):
+                tiny_plan(**overrides)
 
 
 class TestCsvAndSummary:

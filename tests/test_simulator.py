@@ -22,8 +22,7 @@ def line_topology(n, origin=None):
 def static_assignment(caches, buffer_items=10):
     return CacheAssignment(scheme="static", common_parts={},
                            unique_parts={v: tuple(items) for v, items in caches.items()},
-                           fog=tuple(sorted(caches)), alpha=None,
-                           buffer_items=buffer_items)
+                           fog=tuple(sorted(caches)), buffer_items=buffer_items)
 
 
 def roles_of(consumers, providers, passive=(), seed=0):
