@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, PathCache, ShortestPathData, Topology
+from .graph import UNREACHABLE, PathCache, ShortestPathData, Topology, farness
 
 
 class PowerIterationError(RuntimeError):
@@ -43,15 +43,10 @@ def degree_centrality(topology: Topology) -> CentralityScores:
     return _scores("degree", (topology.degree(v) for v in range(topology.node_count)))
 
 
-def closeness_centrality(topology: Topology, cache: PathCache | None = None) -> CentralityScores:
+def closeness_centrality(topology: Topology) -> CentralityScores:
     """reachable-count / sum-of-distances per node; isolated nodes score 0."""
-    raw = []
-    cache = cache or PathCache(topology)
-    for v in range(topology.node_count):
-        dist = cache.dist_from(v)
-        reachable = [d for d in dist if d != UNREACHABLE and d > 0]
-        raw.append(len(reachable) / sum(reachable) if reachable else 0.0)
-    return _scores("closeness", raw)
+    reached, far = farness(topology)
+    return _scores("closeness", (r / f if r else 0.0 for r, f in zip(reached, far)))
 
 
 def _accumulate(raw: list[float], topology: Topology, sp: ShortestPathData,

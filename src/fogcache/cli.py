@@ -165,11 +165,8 @@ def _run(args) -> int:
         return 0
 
     # experiment / sweep-alpha
-    config = {}
-    if args.config:
-        config = exp.parse_config(Path(args.config).read_text())
-    for key, value in _experiment_overrides(args).items():
-        config[key] = value
+    config = exp.parse_config(Path(args.config).read_text()) if args.config else {}
+    config.update(_experiment_overrides(args))
     if args.command == "sweep-alpha":
         config["schemes"] = args.scheme
         config.setdefault("alphas", "0.1,0.25,0.5,0.75,0.9")

@@ -123,7 +123,7 @@ def centrality_for(kind: str, topology: Topology, cache: PathCache,
     if kind == "degree":
         return degree_centrality(topology)
     if kind == "closeness":
-        return closeness_centrality(topology, cache)
+        return closeness_centrality(topology)
     if kind == "betweenness":
         return betweenness_centrality(topology, cache)
     if kind == "eigenvector":
@@ -254,9 +254,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
 
 
 def _format_value(key, value):
-    if key in ("topology", "scheme", "repetition", "seed"):
-        return str(value)
-    if isinstance(value, int):
+    if key in ("topology", "scheme", "repetition", "seed") or isinstance(value, int):
         return str(value)
     return f"{value:.12g}"
 
@@ -285,12 +283,16 @@ def mean_metric(table: ResultTable, topology: str, scheme: str, alpha: float,
     return row[metric]
 
 
+def _axes(table: ResultTable) -> tuple[list, list, list]:
+    """Topologies, schemes and alphas in first-seen row order."""
+    return tuple(list(dict.fromkeys(r[k] for r in table.rows))
+                 for k in ("topology", "scheme", "alpha"))
+
+
 def summary_text(table: ResultTable) -> str:
     """Plain-text scheme x topology matrices of mean hit rate and success
     rate, with one sub-row per replication ratio."""
-    topologies = list(dict.fromkeys(r["topology"] for r in table.rows))
-    schemes = list(dict.fromkeys(r["scheme"] for r in table.rows))
-    alphas = list(dict.fromkeys(r["alpha"] for r in table.rows))
+    topologies, schemes, alphas = _axes(table)
     means = _means(table)
     blocks = []
     for metric in ("hit_rate", "success_rate"):
@@ -320,9 +322,7 @@ def emit_report(table: ResultTable, destination, gnuplot: bool = False) -> list[
     summary_path.write_text(summary_text(table))
     written.append(summary_path)
     if gnuplot:
-        topologies = list(dict.fromkeys(r["topology"] for r in table.rows))
-        schemes = list(dict.fromkeys(r["scheme"] for r in table.rows))
-        alphas = list(dict.fromkeys(r["alpha"] for r in table.rows))
+        topologies, schemes, alphas = _axes(table)
         means = _means(table)
         for metric in ("hit_rate", "success_rate"):
             for topology in topologies:

@@ -93,10 +93,17 @@ def from_edges(edges, nodes=None, origin_spec="auto"):
 def load_topology(text, origin_spec="auto"):
     """Parse a whitespace-separated edge-list document (one edge per line).
 
-    Lines starting with '#' are ignored; duplicate edges collapse.
+    Lines starting with '#' are ignored, except that under "auto" an
+    ``origin=<id>`` token on a '#' first line (the ``serialize_topology``
+    header) names the origin; duplicate edges collapse.
     """
+    lines = text.splitlines()
+    if origin_spec == "auto" and lines and lines[0].lstrip().startswith("#"):
+        for token in lines[0].split():
+            if token.startswith("origin="):
+                origin_spec = int(token.removeprefix("origin="))
     edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,6 +156,29 @@ def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
                 sigma[w] += sv
     return ShortestPathData(source=source, dist=tuple(dist), sigma=tuple(sigma),
                             order=tuple(order))
+
+
+def farness(topology: Topology) -> tuple[list[int], list[int]]:
+    """Per node, the number of other nodes it reaches and the sum of its hop
+    distances to them, from one all-sources BFS over int bitsets (Then et
+    al., VLDB 2014): round k ORs each neighbour's previous reach into a
+    node's reach, and every newly set bit lies at distance k."""
+    adjacency = topology.adjacency
+    reach = [1 << v for v in range(topology.node_count)]
+    far = [0] * len(reach)
+    k, grew = 0, True
+    while grew:
+        k, grew, new = k + 1, False, []
+        for v, nbrs in enumerate(adjacency):
+            old = cur = reach[v]
+            for w in nbrs:
+                cur |= reach[w]
+            if cur != old:
+                far[v] += k * (cur ^ old).bit_count()
+                grew = True
+            new.append(cur)
+        reach = new
+    return [r.bit_count() - 1 for r in reach], far
 
 
 def connected_components(topology: Topology) -> list[tuple[int, ...]]:

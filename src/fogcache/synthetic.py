@@ -4,10 +4,8 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from collections import deque
-from dataclasses import replace
 
-from .graph import Topology, connected_components, from_edges
+from .graph import Topology, connected_components, farness, from_edges
 
 KINDS = ("geometric", "grid", "erdos_renyi")
 
@@ -59,33 +57,12 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
     label = f"{kind}-n{node_count}-d{density:g}-s{seed}"
     full = from_edges(edges, nodes=range(node_count))
     giant = max(connected_components(full), key=lambda c: (len(c), -min(c)))
-    if len(giant) < node_count:
-        if len(giant) < 0.95 * node_count:
-            warnings.warn(
-                f"{label}: giant component holds {len(giant)}/{node_count} nodes",
-                stacklevel=2)
-        keep = set(giant)
-        edges = [(a, b) for a, b in edges if a in keep and b in keep]
-        full = from_edges(edges)
-    return replace(full, origin=_peripheral_node(full))
-
-
-def _peripheral_node(topology: Topology) -> int:
-    """Node with the largest total distance to all others (ties: smaller id)."""
-    best_v, best_total = 0, -1
-    for source in range(topology.node_count):
-        dist = [-1] * topology.node_count
-        dist[source] = 0
-        queue = deque([source])
-        total = 0
-        while queue:
-            v = queue.popleft()
-            for w in topology.adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    total += dist[w]
-                    queue.append(w)
-        if total > best_total:
-            best_v, best_total = source, total
-    return best_v
-
+    if len(giant) < 0.95 * node_count:
+        warnings.warn(
+            f"{label}: giant component holds {len(giant)}/{node_count} nodes",
+            stacklevel=2)
+    # distances within the giant component do not depend on the rest
+    _, far = farness(full)
+    keep = set(giant)
+    return from_edges([(a, b) for a, b in edges if a in keep and b in keep],
+                      origin_spec=max(giant, key=lambda v: (far[v], -v)))

@@ -11,7 +11,8 @@ from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
                                  eigenvector_centrality, normalize_minmax)
 from fogcache import graph
 from fogcache.graph import PathCache, from_edges, load_topology
-from oracles import naive_betweenness, naive_cbc, random_edge_set
+from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
+                     plain_bfs_dist, random_edge_set)
 
 STAR5 = "0 1\n0 2\n0 3\n0 4"
 PATH3 = "0 1\n1 2"
@@ -45,11 +46,9 @@ class TestClassicCentralities:
         topo = from_edges([(0, 1)], nodes=[0, 1, 2])
         assert closeness_centrality(topo).raw[2] == 0.0
 
-    def test_closeness_reuses_callers_cache(self, monkeypatch):
-        topo = random_topology(11, max_nodes=12)
-        cache = PathCache(topo)
-        betweenness_centrality(topo, cache)
-        fresh = closeness_centrality(topo).raw
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_closeness_runs_no_bfs_matches_oracle(self, seed, monkeypatch):
+        topo = random_topology(seed, max_nodes=12)
         sources = []
         bfs = graph.bfs_shortest_paths
 
@@ -58,8 +57,12 @@ class TestClassicCentralities:
             return bfs(topology, source)
 
         monkeypatch.setattr(graph, "bfs_shortest_paths", counted_bfs)
-        assert closeness_centrality(topo, cache).raw == fresh
+        raw = closeness_centrality(topo).raw
         assert sources == []
+        adj = adjacency_sets(topo)
+        for v in range(topo.node_count):
+            dists = [d for d in plain_bfs_dist(adj, v).values() if d > 0]
+            assert raw[v] == (len(dists) / sum(dists) if dists else 0.0)
 
     def test_betweenness_path(self):
         assert betweenness_centrality(load_topology(PATH3)).raw == (0.0, 1.0, 0.0)

@@ -3,6 +3,7 @@ import pytest
 from fogcache.cli import main
 from fogcache.experiment import CSV_COLUMNS, SCHEMES
 from fogcache.graph import load_topology
+from fogcache.synthetic import generate_synthetic_topology
 
 
 @pytest.fixture
@@ -19,6 +20,7 @@ class TestTopologyCommands:
                      "--seed", "1", "-o", str(out)]) == 0
         topo = load_topology(out.read_text())
         assert topo.node_count == 9
+        assert topo == generate_synthetic_topology("grid", 9, 0.078, 1)
 
     def test_generate_to_stdout(self, capsys):
         assert main(["topology", "generate", "--kind", "grid",

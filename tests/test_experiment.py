@@ -11,6 +11,7 @@ from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
                                  table_to_csv)
 from fogcache.graph import connected_components, from_edges
 from fogcache.synthetic import generate_synthetic_topology
+from oracles import adjacency_sets, plain_bfs_dist
 
 
 def small_topology(seed=3):
@@ -49,6 +50,19 @@ class TestSynthetic:
         topo = generate_synthetic_topology("grid", 9, 0.0, seed=0)
         assert topo.original_ids[topo.origin] == 0
 
+    @pytest.mark.parametrize("kind,n,density", [("erdos_renyi", 40, 0.06),
+                                                ("geometric", 60, 0.16)])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_origin_is_oracle_argmax_farness(self, kind, n, density, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            topo = generate_synthetic_topology(kind, n, density, seed)
+        assert topo.node_count < n  # trimmed to the giant component
+        adj = adjacency_sets(topo)
+        totals = [sum(plain_bfs_dist(adj, v).values()) for v in range(topo.node_count)]
+        assert topo.origin == max(range(topo.node_count),
+                                  key=lambda v: (totals[v], -v))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             generate_synthetic_topology("torus", 9, 0.0, seed=0)
@@ -76,6 +90,7 @@ class TestSynthetic:
             mean_degree = 2 * t.edge_count / t.node_count
             assert 5.0 <= mean_degree <= 7.0
             assert len(connected_components(t)) == 1
+        assert [t.original_ids[t.origin] for _, t in topos] == [202, 44, 24]
 
 
 class TestDeriveSeed:

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fogcache.graph import (UNREACHABLE, PathCache, Topology,
                             bfs_shortest_paths, connected_components,
-                            from_edges, load_topology, serialize_topology)
+                            farness, from_edges, load_topology,
+                            serialize_topology)
 from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist,
                      random_edge_set)
 
@@ -78,18 +79,42 @@ class TestLoadTopology:
         assert text.splitlines()[0] == "# nodes=3 origin=9"
 
     @settings(max_examples=50, deadline=None)
-    @given(small_graphs())
-    def test_serialize_roundtrip_property(self, topo):
+    @given(small_graphs(), st.integers(min_value=0, max_value=7))
+    def test_serialize_roundtrip_property(self, topo, pick):
         # the edge-list format cannot express isolated nodes; drop them first
         edges = [(topo.original_ids[a], topo.original_ids[b])
                  for a, b in topo.edges()]
         if not edges:
             return
-        topo = from_edges(edges)
+        ids = from_edges(edges).original_ids
+        topo = from_edges(edges, origin_spec=ids[pick % len(ids)])
         again = load_topology(serialize_topology(topo),
                               origin_spec=topo.original_ids[topo.origin])
         assert again.adjacency == topo.adjacency
         assert again.origin == topo.origin
+        assert load_topology(serialize_topology(topo)) == topo
+
+    def test_header_origin(self):
+        text = "# nodes=3 origin=2\n0 1\n1 2\n"
+        assert load_topology(text).origin == 2
+        assert load_topology(text, origin_spec=0).origin == 0
+        # only a '#' first line names the origin
+        assert load_topology("0 1\n1 2\n# origin=2\n").origin == 1
+        with pytest.raises(ValueError, match="absent"):
+            load_topology("# nodes=2 origin=7\n0 1\n")
+
+
+class TestFarness:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(max_nodes=10))
+    @example(from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6)))
+    @example(from_edges([], nodes=range(3)))
+    def test_matches_plain_bfs(self, topo):
+        reached, far = farness(topo)
+        adj = adjacency_sets(topo)
+        for v in range(topo.node_count):
+            dists = [d for d in plain_bfs_dist(adj, v).values() if d > 0]
+            assert (reached[v], far[v]) == (len(dists), sum(dists))
 
 
 class TestBfsShortestPaths:
