@@ -10,12 +10,14 @@ import sys
 from pathlib import Path
 
 from . import experiment as exp
-from .catalog import generate_interests
 from .centrality import ReplicationPolicy, export_scores_csv
 from .graph import PathCache, connected_components, load_topology, serialize_topology
 from .placement import export_assignment_csv
-from .simulator import assign_roles
 from .synthetic import KINDS, generate_synthetic_topology
+
+# the plan knobs one cell reads besides its alpha; `simulate` adds interests
+_CELL_KNOBS = ("buffer_items", "catalog_size", "zipf_exponent", "consumer_frac",
+               "provider_frac", "master_seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,48 +41,28 @@ def _build_parser() -> _Parser:
     val = topo_sub.add_parser("validate")
     val.add_argument("file")
 
-    def common_sim_args(p, with_scheme=True):
-        p.add_argument("--topology", required=True)
-        if with_scheme:
-            p.add_argument("--scheme", choices=exp.SCHEMES, default="cbc")
-        p.add_argument("--alpha", type=float, default=0.5)
-        p.add_argument("--buffer-items", type=int, default=2)
-        p.add_argument("--catalog-size", type=int, default=100)
-        p.add_argument("--zipf-exponent", type=float, default=1.0)
-        p.add_argument("--consumer-frac", type=float, default=0.3)
-        p.add_argument("--provider-frac", type=float, default=0.3)
-        p.add_argument("--master-seed", type=int, default=7)
-        p.add_argument("--repetition", type=int, default=0)
-        p.add_argument("-o", "--output", default="-")
+    def knob_flags(p, keys):  # text flags: the plan parses them and fills defaults
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"))
 
-    cent = sub.add_parser("centrality", help="compute and export node scores")
-    cent.add_argument("--kind", choices=exp.RANKED, default="cbc")
-    common_sim_args(cent, with_scheme=False)
-
-    place = sub.add_parser("place", help="export a cache assignment")
-    common_sim_args(place)
-
-    sim = sub.add_parser("simulate", help="run one simulation cell")
-    common_sim_args(sim)
-    sim.add_argument("--interests", type=int, default=2_000)
+    for name, flag, choices, help_text in (
+            ("centrality", "--kind", exp.RANKED, "compute and export node scores"),
+            ("place", "--scheme", exp.SCHEMES, "export a cache assignment"),
+            ("simulate", "--scheme", exp.SCHEMES, "run one simulation cell")):
+        cell = sub.add_parser(name, help=help_text)
+        cell.add_argument(flag, dest="scheme", choices=choices, default="cbc")
+        cell.add_argument("--topology", required=True)
+        cell.add_argument("--alpha", type=float, default=0.5)
+        knob_flags(cell, _CELL_KNOBS + (("interests",) if name == "simulate" else ()))
+        cell.add_argument("--repetition", type=int, default=0)
+        cell.add_argument("-o", "--output", default="-")
 
     for name in ("experiment", "sweep-alpha"):
         e = sub.add_parser(name, help="run a full plan and emit reports")
         e.add_argument("--config")
         e.add_argument("--topology", action="append", default=[],
                        help="topology file (repeatable; default: built-in synthetic)")
-        e.add_argument("--schemes")
-        e.add_argument("--alphas")
-        e.add_argument("--repetitions", type=int)
-        e.add_argument("--interests", type=int)
-        e.add_argument("--buffer-items", type=int)
-        e.add_argument("--catalog-size", type=int)
-        e.add_argument("--zipf-exponent", type=float)
-        e.add_argument("--consumer-frac", type=float)
-        e.add_argument("--provider-frac", type=float)
-        e.add_argument("--master-seed", type=int)
-        e.add_argument("--workers", type=int)
-        e.add_argument("--output-dir")
+        knob_flags(e, (*exp.KNOBS, "output_dir"))
         e.add_argument("--gnuplot", action="store_true")
         if name == "sweep-alpha":
             e.add_argument("--scheme", choices=exp.SCHEMES, default="cbc")
@@ -94,31 +76,10 @@ def _write(text: str, output: str) -> None:
         Path(output).write_text(text)
 
 
-def _load(path: str):
-    return load_topology(Path(path).read_text())
-
-
-def _cell(args, topology):
-    """Roles, catalog and replication policy of one (topology, repetition)
-    cell, seeded as the experiment seeds its first topology."""
-    roles = assign_roles(topology, args.consumer_frac, args.provider_frac,
-                         exp.derive_seed(args.master_seed, 0, args.repetition,
-                                         "roles"))
-    catalog = exp.zipf_catalog(args.catalog_size, args.zipf_exponent)
-    policy = ReplicationPolicy(alpha=args.alpha, buffer_items=args.buffer_items,
-                               catalog_size=args.catalog_size)
-    return roles, catalog, policy
-
-
-def _experiment_overrides(args) -> dict:
-    overrides = {}
-    for key in exp.CONFIG_KEYS:  # no args.topologies: --topology is joined below
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.topology:
-        overrides["topologies"] = ",".join(args.topology)
-    return overrides
+def _overrides(args) -> dict:
+    """The config keys given as flags, as text."""
+    return {key: getattr(args, key) for key in exp.CONFIG_KEYS
+            if getattr(args, key, None) is not None}
 
 
 def _run(args) -> int:
@@ -128,7 +89,7 @@ def _run(args) -> int:
                                                args.density, args.seed)
             _write(serialize_topology(topo), args.output)
         else:
-            topo = _load(args.file)
+            topo = load_topology(Path(args.file).read_text())
             components = connected_components(topo)
             print(f"nodes={topo.node_count} edges={topo.edge_count} "
                   f"origin={topo.original_ids[topo.origin]} "
@@ -136,12 +97,18 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("centrality", "place", "simulate"):
-        topology = _load(args.topology)
+        plan, _ = exp.plan_from_config({**_overrides(args),
+                                        "topologies": [args.topology],
+                                        "schemes": args.scheme,
+                                        "alphas": str(args.alpha)})
+        label, topology = plan.topologies[0]
+        catalog = plan.catalog()
+        roles, workload = exp.cell_inputs(plan, 0, args.repetition, catalog)
+        policy = ReplicationPolicy(plan.alphas[0], plan.buffer_items,
+                                   plan.catalog_size)
         cache = PathCache(topology)
-        roles, catalog, policy = _cell(args, topology)
-        kind = args.kind if args.command == "centrality" else args.scheme
-        scores = (exp.centrality_for(kind, topology, cache, roles, policy)
-                  if kind in exp.RANKED else None)
+        scores = (exp.centrality_for(args.scheme, topology, cache, roles, policy)
+                  if args.scheme in exp.RANKED else None)
         buffer = io.StringIO()
         if args.command == "centrality":
             export_scores_csv(scores, topology, buffer)
@@ -151,13 +118,9 @@ def _run(args) -> int:
             if args.command == "place":
                 export_assignment_csv(assignment, topology, buffer)
             else:
-                workload = generate_interests(
-                    catalog, roles.consumers, args.interests,
-                    exp.derive_seed(args.master_seed, 0, args.repetition,
-                                    "workload"))
-                row = {"topology": Path(args.topology).stem,
-                       "scheme": args.scheme, "alpha": args.alpha,
-                       "repetition": args.repetition, "seed": workload.seed,
+                row = {"topology": label, "scheme": args.scheme,
+                       "alpha": plan.alphas[0], "repetition": args.repetition,
+                       "seed": workload.seed,
                        **exp.simulate(topology, assignment, roles, workload, cache)}
                 buffer.write(exp.table_to_csv(exp.ResultTable(rows=[row],
                                                               aggregates=[])))
@@ -166,7 +129,9 @@ def _run(args) -> int:
 
     # experiment / sweep-alpha
     config = exp.parse_config(Path(args.config).read_text()) if args.config else {}
-    config.update(_experiment_overrides(args))
+    config.update(_overrides(args))
+    if args.topology:
+        config["topologies"] = ",".join(args.topology)
     if args.command == "sweep-alpha":
         config["schemes"] = args.scheme
         config.setdefault("alphas", "0.1,0.25,0.5,0.75,0.9")

@@ -5,6 +5,7 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from .catalog import (ContentCatalog, InterestWorkload, generate_interests,
@@ -16,8 +17,8 @@ from .centrality import (CentralityScores, ReplicationPolicy,
 from .graph import PathCache, Topology, load_topology
 from .placement import CacheAssignment, place_fog, place_noncollaborative
 from .simulator import (RoleAssignment, SimMetrics, assign_roles,
-                        cache_hit_rate, pooled_hit_rate, run_simulation,
-                        success_rate)
+                        cache_hit_rate, check_role_fractions, pooled_hit_rate,
+                        run_simulation, success_rate)
 from .synthetic import generate_synthetic_topology
 
 # schemes that place caches with place_fog in the order of a centrality of
@@ -29,10 +30,22 @@ CSV_COLUMNS = ("topology", "scheme", "alpha", "repetition", "seed",
                "hit_rate", "success_rate", "generated", "cache_satisfied",
                "origin_satisfied", "unsatisfied", "pooled_hit_rate")
 
-CONFIG_KEYS = ("topologies", "schemes", "alphas", "repetitions", "interests",
-               "buffer_items", "catalog_size", "zipf_exponent",
-               "consumer_frac", "provider_frac", "master_seed", "output_dir",
-               "workers")
+
+def _listed(cast):
+    """Parser of a comma-separated list of ``cast`` values."""
+    return lambda text: tuple(cast(part.strip()) for part in text.split(","))
+
+
+# config key -> (ExperimentPlan field, parser of the key's text); each key is
+# also an `experiment` flag, and a key left out takes the field's default
+KNOBS = {"schemes": ("schemes", _listed(str)), "alphas": ("alphas", _listed(float)),
+         "repetitions": ("repetitions", int), "interests": ("interests_per_run", int),
+         "buffer_items": ("buffer_items", int), "catalog_size": ("catalog_size", int),
+         "zipf_exponent": ("zipf_exponent", float),
+         "consumer_frac": ("consumer_frac", float),
+         "provider_frac": ("provider_frac", float),
+         "master_seed": ("master_seed", int), "workers": ("workers", int)}
+CONFIG_KEYS = ("topologies", *KNOBS, "output_dir")
 
 
 @dataclass(frozen=True)
@@ -45,7 +58,6 @@ class ExperimentPlan:
     buffer_items: int = 2
     catalog_size: int = 100
     zipf_exponent: float = 1.0
-    chunk_kb: int = 1024
     consumer_frac: float = 0.3
     provider_frac: float = 0.3
     master_seed: int = 7
@@ -64,15 +76,18 @@ class ExperimentPlan:
                              ("schemes", self.schemes), ("alphas", self.alphas)):
             if len(set(values)) < len(values):
                 raise ValueError(f"duplicate {name} in {list(values)}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if any(not 0.0 <= a <= 1.0 for a in self.alphas):
-            raise ValueError("every alpha must lie in [0, 1]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, low in (("repetitions", 1), ("interests_per_run", 0),
+                          ("workers", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        # the layers' own checks, so a bad knob fails before any cell runs
+        check_role_fractions(self.consumer_frac, self.provider_frac)
+        self.catalog()
+        for alpha in self.alphas:
+            ReplicationPolicy(alpha, self.buffer_items, self.catalog_size)
 
     def catalog(self) -> ContentCatalog:
-        return zipf_catalog(self.catalog_size, self.zipf_exponent, self.chunk_kb)
+        return zipf_catalog(self.catalog_size, self.zipf_exponent)
 
 
 def default_topologies(node_count: int = 330, radius: float = 0.078,
@@ -96,6 +111,18 @@ def derive_seed(master_seed: int, topology_index: int, repetition: int,
     identical roles and interest sequence (paired comparisons)."""
     key = f"{master_seed}|{topology_index}|{repetition}|{purpose}"
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
+
+
+def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int,
+                catalog: ContentCatalog | None = None
+                ) -> tuple[RoleAssignment, InterestWorkload]:
+    """Roles and interests of one (topology, repetition) cell: the only code
+    that seeds a cell.  ``catalog`` defaults to ``plan.catalog()``."""
+    seed = partial(derive_seed, plan.master_seed, topology_index, repetition)
+    roles = assign_roles(plan.topologies[topology_index][1], plan.consumer_frac,
+                         plan.provider_frac, seed("roles"))
+    return roles, generate_interests(catalog or plan.catalog(), roles.consumers,
+                                     plan.interests_per_run, seed("workload"))
 
 
 @dataclass
@@ -188,12 +215,7 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
 
     rows = []
     for rep in range(plan.repetitions):
-        roles_seed = derive_seed(plan.master_seed, topology_index, rep, "roles")
-        workload_seed = derive_seed(plan.master_seed, topology_index, rep, "workload")
-        roles = assign_roles(topology, plan.consumer_frac, plan.provider_frac,
-                             roles_seed)
-        workload = generate_interests(catalog, roles.consumers,
-                                      plan.interests_per_run, workload_seed)
+        roles, workload = cell_inputs(plan, topology_index, rep, catalog)
         providers = sorted(roles.providers)
         # a cell reads alpha only through the replica-class sizes, and the
         # schemes outside RANKED not at all: measure each distinct cell once
@@ -213,7 +235,7 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
                                                      workload, cache)
                 rows.append({"topology": label, "scheme": scheme,
                              "alpha": alpha, "repetition": rep,
-                             "seed": workload_seed, **measured})
+                             "seed": workload.seed, **measured})
     return rows
 
 
@@ -326,7 +348,7 @@ def emit_report(table: ResultTable, destination, gnuplot: bool = False) -> list[
         means = _means(table)
         for metric in ("hit_rate", "success_rate"):
             for topology in topologies:
-                path = dest / f"{metric}_{topology}.dat"
+                path = dest / f"{metric}_{topology}.dat".replace("/", "_")
                 lines = ["# alpha " + " ".join(schemes)]
                 for alpha in alphas:
                     cells = " ".join(f"{means[topology, s, alpha][metric]:.6f}"
@@ -354,38 +376,30 @@ def parse_config(text: str) -> dict:
     return raw
 
 
+def _knob(key: str, text: str) -> tuple[str, object]:
+    """(ExperimentPlan field, value parsed from ``text``) of config ``key``."""
+    field, parse = KNOBS[key]
+    try:
+        return field, parse(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {text!r}") from None
+
+
 def plan_from_config(config: dict, base_dir=".") -> tuple[ExperimentPlan, str]:
-    """Build a plan from parsed config values (strings), resolving topology
-    files relative to ``base_dir``.  Returns (plan, output_dir)."""
-    base = Path(base_dir)
-    kwargs = {}
-    if config.get("topologies"):
-        topologies = []
-        for item in str(config["topologies"]).split(","):
-            path = base / item.strip()
-            topo = load_topology(path.read_text())
-            topologies.append((path.stem, topo))
-        kwargs["topologies"] = tuple(topologies)
-    else:
-        kwargs["topologies"] = default_topologies()
-    if config.get("schemes"):
-        kwargs["schemes"] = tuple(s.strip() for s in str(config["schemes"]).split(","))
-    if config.get("alphas"):
-        kwargs["alphas"] = tuple(float(a) for a in str(config["alphas"]).split(","))
-    for key, attr, cast in (("repetitions", "repetitions", int),
-                            ("interests", "interests_per_run", int),
-                            ("buffer_items", "buffer_items", int),
-                            ("catalog_size", "catalog_size", int),
-                            ("zipf_exponent", "zipf_exponent", float),
-                            ("consumer_frac", "consumer_frac", float),
-                            ("provider_frac", "provider_frac", float),
-                            ("master_seed", "master_seed", int),
-                            ("workers", "workers", int)):
-        if key in config and config[key] != "":
-            try:
-                kwargs[attr] = cast(config[key])
-            except ValueError:
-                raise ValueError(f"config key {key!r}: invalid value "
-                                 f"{config[key]!r}") from None
-    output_dir = str(config.get("output_dir", "results"))
-    return ExperimentPlan(**kwargs), output_dir
+    """Build a plan from config text values, resolving topology files
+    relative to ``base_dir``; ``topologies`` is comma-separated text or a
+    list of paths.  Returns (plan, output_dir)."""
+    knobs = dict(_knob(key, config[key]) for key in KNOBS
+                 if config.get(key) not in (None, ""))
+    paths = config.get("topologies") or []
+    if isinstance(paths, str):
+        paths = [item.strip() for item in paths.split(",")]
+    # a file is labelled by its stem, or by its path as given when the
+    # stem is shared with another file of the plan
+    stems = [Path(path).stem for path in paths]
+    topologies = tuple((stem if stems.count(stem) == 1 else path,
+                        load_topology((Path(base_dir) / path).read_text()))
+                       for path, stem in zip(paths, stems))
+    plan = (ExperimentPlan(topologies, **knobs) if topologies
+            else default_plan(**knobs))
+    return plan, str(config.get("output_dir", "results"))

@@ -101,7 +101,10 @@ def load_topology(text, origin_spec="auto"):
     if origin_spec == "auto" and lines and lines[0].lstrip().startswith("#"):
         for token in lines[0].split():
             if token.startswith("origin="):
-                origin_spec = int(token.removeprefix("origin="))
+                try:
+                    origin_spec = int(token.removeprefix("origin="))
+                except ValueError:
+                    raise ValueError(f"line 1: non-integer token {token!r}") from None
     edges = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

@@ -22,13 +22,17 @@ class RoleAssignment:
     seed: int
 
 
-def assign_roles(topology: Topology, consumer_frac: float, provider_frac: float,
-                 seed: int) -> RoleAssignment:
-    """Seeded sampling without replacement; the origin takes no role."""
+def check_role_fractions(consumer_frac: float, provider_frac: float) -> None:
     if not 0.0 <= consumer_frac <= 1.0 or not 0.0 <= provider_frac <= 1.0:
         raise ValueError("role fractions must lie in [0, 1]")
     if consumer_frac + provider_frac > 1.0 + 1e-12:
         raise ValueError("role fractions must sum to at most 1")
+
+
+def assign_roles(topology: Topology, consumer_frac: float, provider_frac: float,
+                 seed: int) -> RoleAssignment:
+    """Seeded sampling without replacement; the origin takes no role."""
+    check_role_fractions(consumer_frac, provider_frac)
     n = topology.node_count
     pool = [v for v in range(n) if v != topology.origin]
     n_consumers = min(round(consumer_frac * n), len(pool))

@@ -1,7 +1,8 @@
 import pytest
 
+from fogcache import experiment
 from fogcache.cli import main
-from fogcache.experiment import CSV_COLUMNS, SCHEMES
+from fogcache.experiment import CSV_COLUMNS, KNOBS, SCHEMES, ResultTable
 from fogcache.graph import load_topology
 from fogcache.synthetic import generate_synthetic_topology
 
@@ -80,11 +81,17 @@ class TestAnalysisCommands:
                      "--catalog-size", "10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_simulate_row_matches_experiment(self, scheme, line_file,
+    @pytest.mark.parametrize("scheme,knobs", [
+        pytest.param(scheme, knobs, id=scheme + suffix)
+        for suffix, knobs in (
+            ("", ["--interests", "50", "--catalog-size", "10"]),
+            ("-defaults", []),
+            ("-non-default", ["--buffer-items", "3", "--master-seed", "5",
+                              "--consumer-frac", "0.4"]))
+        for scheme in SCHEMES])
+    def test_simulate_row_matches_experiment(self, scheme, knobs, line_file,
                                              tmp_path, capsys):
-        common = ["--topology", str(line_file), "--interests", "50",
-                  "--catalog-size", "10"]
+        common = ["--topology", str(line_file), *knobs]
         assert main(["simulate", "--scheme", scheme, "--alpha", "1",
                      *common]) == 0
         simulated = capsys.readouterr().out.splitlines()
@@ -151,7 +158,80 @@ class TestExperimentCommand:
                              "--topology", str(line_file)]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_shared_stems_run_under_distinct_labels(self, line_file, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "t.txt").write_text(line_file.read_text())
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--topology", str(tmp_path / "a" / "t.txt"),
+                     "--topology", str(tmp_path / "b" / "t.txt"),
+                     "--schemes", "no_fog", "--alphas", "0.5", "--repetitions", "1",
+                     "--interests", "10", "--gnuplot",
+                     "--output-dir", str(out_dir)]) == 0
+        rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {
+            str(tmp_path / "a" / "t.txt"), str(tmp_path / "b" / "t.txt")}
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",
                      "--interests", "10"]) == 1
+
+
+# per knob: two texts, neither the plan's default, and the second one parsed
+KNOB_SAMPLES = {"schemes": ("cbc", "no_fog,cbc", ("no_fog", "cbc")),
+                "alphas": ("0.9", "0.3,0.6", (0.3, 0.6)),
+                "repetitions": ("2", "3", 3), "interests": ("12", "11", 11),
+                "buffer_items": ("3", "4", 4), "catalog_size": ("40", "50", 50),
+                "zipf_exponent": ("0.7", "0.8", 0.8),
+                "consumer_frac": ("0.1", "0.2", 0.2),
+                "provider_frac": ("0.5", "0.4", 0.4),
+                "master_seed": ("6", "5", 5), "workers": ("3", "2", 2)}
+
+
+class TestKnobTable:
+    def test_every_knob_sampled(self):
+        assert set(KNOB_SAMPLES) == set(KNOBS)
+
+    def planned(self, monkeypatch, tmp_path, argv):
+        plans = []
+
+        def captured(plan):
+            plans.append(plan)
+            return ResultTable(rows=[], aggregates=[])
+
+        monkeypatch.setattr(experiment, "run_experiment", captured)
+        assert main(["experiment", *argv,
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        return plans[0]
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_config_key_and_flag_set_one_field(self, key, line_file, tmp_path,
+                                               monkeypatch):
+        field, _ = KNOBS[key]
+        other, text, value = KNOB_SAMPLES[key]
+        flag = ["--" + key.replace("_", "-"), text]
+        config = tmp_path / "plan.cfg"
+        config.write_text(f"topologies = {line_file.name}\n{key} = {text}\n")
+        from_config = self.planned(monkeypatch, tmp_path, ["--config", str(config)])
+        from_flag = self.planned(monkeypatch, tmp_path,
+                                 ["--topology", str(line_file), *flag])
+        assert getattr(from_config, field) == value
+        assert from_flag == from_config
+        config.write_text(f"topologies = {line_file.name}\n{key} = {other}\n")
+        overridden = self.planned(monkeypatch, tmp_path,
+                                  ["--config", str(config), *flag])
+        assert overridden == from_config
+
+
+SUBCOMMANDS = [["topology"], ["topology", "generate"], ["topology", "validate"],
+               ["centrality"], ["place"], ["simulate"], ["experiment"],
+               ["sweep-alpha"]]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=" ".join)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage: fogcache" in capsys.readouterr().out

@@ -5,10 +5,10 @@ import pytest
 
 from fogcache import experiment
 from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
-                                 default_plan, default_topologies, derive_seed,
-                                 emit_report, mean_metric, parse_config,
-                                 plan_from_config, run_experiment, summary_text,
-                                 table_to_csv)
+                                 cell_inputs, default_plan, default_topologies,
+                                 derive_seed, emit_report, mean_metric,
+                                 parse_config, plan_from_config, run_experiment,
+                                 summary_text, table_to_csv)
 from fogcache.graph import connected_components, from_edges
 from fogcache.synthetic import generate_synthetic_topology
 from oracles import adjacency_sets, plain_bfs_dist
@@ -239,6 +239,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             tiny_plan(workers=0)
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(buffer_items=0), "buffer_items"),
+        (dict(catalog_size=0), "catalog size"),
+        (dict(zipf_exponent=0.0), "exponent"),
+        (dict(interests_per_run=-1), "interests_per_run"),
+        (dict(consumer_frac=1.5), "role fractions"),
+        (dict(consumer_frac=0.7, provider_frac=0.6), "role fractions")])
+    def test_bad_knobs_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(**overrides)
+
+    def test_cells_seeded_by_cell_inputs(self, monkeypatch):
+        plan = tiny_plan(topologies=(("a", small_topology(1)),
+                                     ("b", small_topology(2))))
+        seen = []
+
+        def recorded(plan, topology_index, repetition, catalog=None):
+            seen.append((topology_index, repetition))
+            return cell_inputs(plan, topology_index, repetition, catalog)
+
+        monkeypatch.setattr(experiment, "cell_inputs", recorded)
+        rows = run_experiment(plan).rows
+        assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for row in rows:
+            index = 0 if row["topology"] == "a" else 1
+            roles, workload = cell_inputs(plan, index, row["repetition"])
+            assert row["seed"] == workload.seed
+            assert row["generated"] == len(workload.draws)
+            assert roles.seed == derive_seed(7, index, row["repetition"], "roles")
+
     def test_duplicates_rejected(self):
         # a repeated alpha or scheme would double its rows in the aggregates,
         # a repeated label would pool two topologies into one mean
@@ -327,6 +357,22 @@ class TestConfig:
         assert plan.topologies[0][0] == "line"
         assert plan.topologies[0][1].node_count == 4
 
+    def test_bad_knob_rejected_by_plan_from_config(self, monkeypatch):
+        # the plan itself refuses, so no experiment starts on it
+        monkeypatch.setattr(experiment, "default_topologies",
+                            lambda: (("tiny", small_topology()),))
+        with pytest.raises(ValueError, match="buffer_items"):
+            plan_from_config({"buffer_items": "0"})
+
+    def test_shared_stems_labelled_by_path(self, tmp_path):
+        for sub in ("a", "b", "c"):
+            (tmp_path / sub).mkdir()
+        for name in ("a/t.txt", "b/t.txt", "c/u.txt"):
+            (tmp_path / name).write_text("0 1\n1 2\n")
+        plan, _ = plan_from_config({"topologies": "a/t.txt, b/t.txt,c/u.txt"},
+                                   base_dir=tmp_path)
+        assert [label for label, _ in plan.topologies] == ["a/t.txt", "b/t.txt", "u"]
+
     def test_defaults_without_topologies(self):
         plan, output_dir = plan_from_config({})
         assert len(plan.topologies) == 3
@@ -343,4 +389,4 @@ class TestDefaultPlanShape:
         assert plan.zipf_exponent == 1.0
         assert plan.consumer_frac == 0.3
         assert plan.provider_frac == 0.3
-        assert plan.chunk_kb == 1024
+        assert plan.catalog().chunk_kb == 1024

@@ -103,6 +103,10 @@ class TestLoadTopology:
         with pytest.raises(ValueError, match="absent"):
             load_topology("# nodes=2 origin=7\n0 1\n")
 
+    def test_bad_header_token_named(self):
+        with pytest.raises(ValueError, match="line 1: .*'origin=x'"):
+            load_topology("# nodes=2 origin=x\n0 1\n")
+
 
 class TestFarness:
     @settings(max_examples=150, deadline=None)
