@@ -6,8 +6,7 @@ simulator, and an experiment harness with a CLI front end.
 """
 
 from .catalog import (ContentCatalog, InterestWorkload, generate_interests,
-                      load_workload, save_workload, zipf_catalog,
-                      zipf_popularity)
+                      zipf_catalog, zipf_popularity)
 from .centrality import (CentralityScores, PowerIterationError,
                          ReplicationPolicy, betweenness_centrality, cbc_exact,
                          cbc_replication, closeness_centrality,
@@ -24,9 +23,9 @@ from .graph import (PathCache, ShortestPathData, Topology, UNREACHABLE,
 from .placement import (CacheAssignment, export_assignment_csv,
                         fog_distinct_items, place_fog, place_greedy_popular,
                         place_noncollaborative)
-from .simulator import (RoleAssignment, RouteOutcome, SimMetrics, assign_roles,
-                        cache_hit_rate, pooled_hit_rate, route_interest,
-                        run_simulation, success_rate)
+from .simulator import (RoleAssignment, SimMetrics, assign_roles,
+                        cache_hit_rate, pooled_hit_rate, run_simulation,
+                        success_rate)
 from .synthetic import generate_synthetic_topology
 
 __version__ = "0.1.0"

@@ -1,7 +1,6 @@
 """Content catalog, Zipf popularity, and seeded interest workloads."""
 from __future__ import annotations
 
-import csv
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -14,7 +13,6 @@ class ContentCatalog:
     most popular item)."""
 
     popularity: tuple[float, ...]
-    chunk_kb: int = 1024
 
     def __post_init__(self):
         if not self.popularity:
@@ -42,8 +40,8 @@ def zipf_popularity(n: int, exponent: float = 1.0) -> tuple[float, ...]:
     return tuple(w / total for w in weights)
 
 
-def zipf_catalog(n: int, exponent: float = 1.0, chunk_kb: int = 1024) -> ContentCatalog:
-    return ContentCatalog(popularity=zipf_popularity(n, exponent), chunk_kb=chunk_kb)
+def zipf_catalog(n: int, exponent: float = 1.0) -> ContentCatalog:
+    return ContentCatalog(popularity=zipf_popularity(n, exponent))
 
 
 @dataclass(frozen=True)
@@ -73,28 +71,4 @@ def generate_interests(catalog: ContentCatalog, consumers, count: int,
         c = consumers[rng.randrange(n_cons)]
         r = bisect_right(cumulative, rng.random())
         draws.append((c, min(r, top)))
-    return InterestWorkload(draws=tuple(draws), seed=seed)
-
-
-def save_workload(workload: InterestWorkload, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["consumer_id", "item_rank"])
-    writer.writerows(workload.draws)
-
-
-def load_workload(stream, seed: int = 0) -> InterestWorkload:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != ["consumer_id", "item_rank"]:
-        raise ValueError("workload file missing 'consumer_id,item_rank' header")
-    draws = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            consumer, rank = row
-            draws.append((int(consumer), int(rank)))
-        except ValueError:
-            raise ValueError(f"line {reader.line_num}: expected two integers "
-                             f"consumer_id,item_rank, got {row!r}") from None
     return InterestWorkload(draws=tuple(draws), seed=seed)

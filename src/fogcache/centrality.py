@@ -40,7 +40,7 @@ def _scores(kind: str, raw) -> CentralityScores:
 
 
 def degree_centrality(topology: Topology) -> CentralityScores:
-    return _scores("degree", (topology.degree(v) for v in range(topology.node_count)))
+    return _scores("degree", map(len, topology.adjacency))
 
 
 def closeness_centrality(topology: Topology) -> CentralityScores:
@@ -52,7 +52,7 @@ def closeness_centrality(topology: Topology) -> CentralityScores:
 def _accumulate(raw: list[float], topology: Topology, sp: ShortestPathData,
                 weights) -> None:
     """Target-weighted Brandes dependency accumulation (Brandes 2008) from
-    ``sp.source``: adds to ``raw[v]``, for every v but the source, the sum
+    the BFS source: adds to ``raw[v]``, for every v but the source, the sum
     over targets t of ``weights[t]`` times the fraction of shortest
     source->t paths on which v lies strictly before t.  Predecessors are the
     neighbours one hop closer to the source.  Weight on the source itself is
@@ -155,7 +155,7 @@ class ReplicationPolicy:
 
 
 def _serve(weights: list[float], sp: ShortestPathData, holders, size: int) -> None:
-    """Route ``size`` interests from ``sp.source`` to its nearest reachable
+    """Route ``size`` interests from the BFS source to its nearest reachable
     ``holders``: the equidistant nearest ones split them by their share of
     shortest paths, size·σ_t/Σσ onto each such holder t.  Nothing is added
     when no holder is reachable; a holder listed twice counts once."""

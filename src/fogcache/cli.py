@@ -130,12 +130,14 @@ def _run(args) -> int:
     # experiment / sweep-alpha
     config = exp.parse_config(Path(args.config).read_text()) if args.config else {}
     config.update(_overrides(args))
+    # a config file's topologies are relative to it, flag paths to the
+    # working directory
+    base = Path(args.config).parent if args.config else Path(".")
     if args.topology:
-        config["topologies"] = ",".join(args.topology)
+        config["topologies"], base = args.topology, Path(".")
     if args.command == "sweep-alpha":
         config["schemes"] = args.scheme
         config.setdefault("alphas", "0.1,0.25,0.5,0.75,0.9")
-    base = Path(args.config).parent if args.config else Path(".")
     plan, output_dir = exp.plan_from_config(config, base_dir=base)
     table = exp.run_experiment(plan)
     written = exp.emit_report(table, output_dir, gnuplot=args.gnuplot)

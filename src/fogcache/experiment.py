@@ -90,14 +90,12 @@ class ExperimentPlan:
         return zipf_catalog(self.catalog_size, self.zipf_exponent)
 
 
-def default_topologies(node_count: int = 330, radius: float = 0.078,
-                       seeds=(6, 11, 25)):
-    """The three built-in geometric snapshots used by the default plan."""
-    topologies = []
-    for i, seed in enumerate(seeds, start=1):
-        topo = generate_synthetic_topology("geometric", node_count, radius, seed)
-        topologies.append((f"topology{i}", topo))
-    return tuple(topologies)
+def default_topologies():
+    """The three built-in geometric snapshots used by the default plan:
+    n = 330, radius 0.078, seeds 6, 11 and 25."""
+    return tuple((f"topology{i}",
+                  generate_synthetic_topology("geometric", 330, 0.078, seed))
+                 for i, seed in enumerate((6, 11, 25), start=1))
 
 
 def default_plan(**overrides) -> ExperimentPlan:

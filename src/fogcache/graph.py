@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 UNREACHABLE = -1
 
@@ -29,9 +28,6 @@ class Topology:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """Dense-id edge list with a < b."""
         return [(a, b) for a in range(self.node_count)
@@ -43,12 +39,11 @@ class ShortestPathData:
     """Single-source BFS result: hop distances and shortest-path counts.
 
     ``order`` lists the reached nodes in non-decreasing distance (BFS
-    visitation order, ``source`` first); accumulation passes walk it in
+    visitation order, the source first); accumulation passes walk it in
     reverse.  The shortest-path predecessors of v are its neighbours p with
     ``dist[p] == dist[v] - 1``.
     """
 
-    source: int
     dist: tuple[int, ...]
     sigma: tuple[int, ...]
     order: tuple[int, ...]
@@ -157,7 +152,7 @@ def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
                 order.append(w)
             elif dw == dnext:
                 sigma[w] += sv
-    return ShortestPathData(source=source, dist=tuple(dist), sigma=tuple(sigma),
+    return ShortestPathData(dist=tuple(dist), sigma=tuple(sigma),
                             order=tuple(order))
 
 
@@ -186,23 +181,12 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
 
 def connected_components(topology: Topology) -> list[tuple[int, ...]]:
     """Node sets of each component, ordered by smallest member id."""
-    n = topology.node_count
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in topology.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        components.append(tuple(sorted(comp)))
+    components, seen = [], set()
+    for start in range(topology.node_count):
+        if start not in seen:
+            comp = bfs_shortest_paths(topology, start).order
+            seen.update(comp)
+            components.append(tuple(sorted(comp)))
     return components
 
 
@@ -227,16 +211,13 @@ class PathCache:
             self._sp[source] = sp
         return sp
 
-    def dist_from(self, source: int) -> tuple[int, ...]:
-        return self.paths_from(source).dist
-
     def next_hops(self, target: int) -> array:
         """Routing tree toward ``target``: entry v is the smallest-id
         neighbour of v one hop closer to ``target``, or UNREACHABLE where
         there is none (``target`` itself and nodes it cannot reach)."""
         hops = self._hops.get(target)
         if hops is None:
-            dist = self.dist_from(target)
+            dist = self.paths_from(target).dist
             hops = array("i", [UNREACHABLE]) * len(dist)
             for v, nbrs in enumerate(self.topology.adjacency):
                 goal = dist[v] - 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import InterestWorkload
 from .graph import UNREACHABLE, PathCache, Topology
@@ -47,13 +47,6 @@ def assign_roles(topology: Topology, consumer_frac: float, provider_frac: float,
                           passive=passive, seed=seed)
 
 
-@dataclass(frozen=True)
-class RouteOutcome:
-    served_from: str  # one of "self", "cache", "origin", "none"
-    server: int | None
-    path: tuple[int, ...]  # consumer..server inclusive; empty for self/none
-
-
 @dataclass
 class SimMetrics:
     """Per-node and global counters of one simulation run."""
@@ -76,7 +69,7 @@ def _choose_server(cache: PathCache, holders, consumer: int):
     origin = cache.topology.origin
     if consumer in holders or consumer == origin:
         return "self", consumer
-    dist = cache.dist_from(consumer)
+    dist = cache.paths_from(consumer).dist
     best, server = dist[origin], origin
     if best == UNREACHABLE:
         best, server = len(dist), None  # farther than any reachable node
@@ -98,24 +91,6 @@ def _walk(cache: PathCache, consumer: int, server: int):
     while v != server:
         yield v
         v = hops[v]
-
-
-def route_interest(topology: Topology, caches, consumer: int, item: int,
-                   cache: PathCache | None = None) -> RouteOutcome:
-    """Route one interest given explicit per-node cache contents.
-
-    ``caches`` maps node id -> current item container; the origin is always a
-    holder regardless of ``caches``.
-    """
-    if item < 0:
-        raise ValueError(f"invalid item rank {item}")
-    cache = cache or PathCache(topology)
-    holders = {node for node, items in caches.items() if item in items}
-    served, server = _choose_server(cache, holders, consumer)
-    if served in ("self", "none"):
-        return RouteOutcome(served_from=served, server=server, path=())
-    path = (consumer, *_walk(cache, consumer, server), server)
-    return RouteOutcome(served_from=served, server=server, path=path)
 
 
 def run_simulation(topology: Topology, assignment: CacheAssignment,

@@ -4,6 +4,7 @@ Each test exercises one release criterion and prints a single PASS/FAIL line
 (written past pytest's capture so the verdicts always appear on the console).
 The comparative-trend checks share one full default-plan experiment run.
 """
+import hashlib
 import random
 import time
 
@@ -232,6 +233,13 @@ def test_criterion_8_worker_count_determinism(default_results, capsys):
     _report(capsys, "8", identical, "full default experiment CSV byte-identical "
                             "for workers=1 and workers=2")
     assert identical
+
+
+def test_default_experiment_bytes_pinned(default_results):
+    # the seed-7 results.csv the benchmark pins; re-pin both together
+    _, table, _ = default_results
+    digest = hashlib.sha256(table_to_csv(table).encode()).hexdigest()
+    assert digest.startswith("54d7fd840f4b")
 
 
 def test_criterion_9_conservation_including_disconnection(capsys):

@@ -1,11 +1,9 @@
-import io
 from collections import Counter
 
 import pytest
 from scipy import stats
 
-from fogcache.catalog import (ContentCatalog, generate_interests,
-                              load_workload, save_workload, zipf_catalog,
+from fogcache.catalog import (ContentCatalog, generate_interests, zipf_catalog,
                               zipf_popularity)
 
 
@@ -51,7 +49,6 @@ class TestContentCatalog:
     def test_defaults(self):
         catalog = zipf_catalog(100)
         assert catalog.size == 100
-        assert catalog.chunk_kb == 1024
 
 
 class TestGenerateInterests:
@@ -97,23 +94,3 @@ class TestGenerateInterests:
         counts = Counter(c for c, _ in workload.draws)
         for node in (3, 7, 9):
             assert abs(counts[node] / 30_000 - 1 / 3) < 0.02
-
-
-class TestWorkloadCsv:
-    def test_roundtrip(self):
-        workload = generate_interests(zipf_catalog(30), [1, 4], 100, seed=8)
-        buffer = io.StringIO()
-        save_workload(workload, buffer)
-        buffer.seek(0)
-        again = load_workload(buffer, seed=8)
-        assert again == workload
-
-    def test_missing_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            load_workload(io.StringIO("1,2\n"))
-
-    @pytest.mark.parametrize("row", ["3", "3,4,5", "3,x"])
-    def test_malformed_row_rejected(self, row):
-        text = f"consumer_id,item_rank\n1,2\n{row}\n"
-        with pytest.raises(ValueError, match="line 3"):
-            load_workload(io.StringIO(text))

@@ -172,6 +172,37 @@ class TestExperimentCommand:
         assert {row.split(",")[0] for row in rows} == {
             str(tmp_path / "a" / "t.txt"), str(tmp_path / "b" / "t.txt")}
 
+    def labels(self, out_dir):
+        rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+        return {row.split(",")[0] for row in rows}
+
+    def test_topology_flag_relative_to_working_directory(self, line_file,
+                                                         tmp_path, monkeypatch):
+        # flag paths resolve against the working directory, a config file's
+        # own topologies against the config file's directory
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "own.txt").write_text(line_file.read_text())
+        (tmp_path / "sub" / "plan.cfg").write_text(
+            "topologies = own.txt\nschemes = no_fog\nalphas = 0.5\n"
+            "repetitions = 1\ninterests = 10\n")
+        monkeypatch.chdir(tmp_path)
+        for flags, label in (([], "own"), (["--topology", "line.txt"], "line")):
+            out_dir = tmp_path / f"out-{label}"
+            assert main(["experiment", "--config", "sub/plan.cfg", *flags,
+                         "--output-dir", str(out_dir)]) == 0
+            assert self.labels(out_dir) == {label}
+
+    def test_topology_flag_not_split_on_commas(self, line_file, tmp_path,
+                                               monkeypatch):
+        (tmp_path / "x,y").mkdir()
+        (tmp_path / "x,y" / "t.txt").write_text(line_file.read_text())
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(["experiment", "--topology", "x,y/t.txt", "--schemes",
+                     "no_fog", "--alphas", "0.5", "--repetitions", "1",
+                     "--interests", "10", "--output-dir", str(out_dir)]) == 0
+        assert self.labels(out_dir) == {"t"}
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",

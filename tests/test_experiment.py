@@ -389,4 +389,3 @@ class TestDefaultPlanShape:
         assert plan.zipf_exponent == 1.0
         assert plan.consumer_frac == 0.3
         assert plan.provider_frac == 0.3
-        assert plan.catalog().chunk_kb == 1024

@@ -193,3 +193,15 @@ class TestConnectedComponents:
     def test_isolated_nodes(self):
         topo = from_edges([], nodes=[0, 1, 2], origin_spec=0)
         assert connected_components(topo) == [(0,), (1,), (2,)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(max_nodes=10))
+    @example(from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6)))
+    @example(from_edges([], nodes=range(3)))
+    def test_matches_plain_bfs(self, topo):
+        # each node's oracle reach is its component; sorted tuples order
+        # disjoint components by smallest member
+        adj = adjacency_sets(topo)
+        expected = {tuple(sorted(plain_bfs_dist(adj, v)))
+                    for v in range(topo.node_count)}
+        assert connected_components(topo) == sorted(expected)

@@ -9,9 +9,9 @@ from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.graph import PathCache, from_edges
 from fogcache.placement import CacheAssignment, place_greedy_popular
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
-                                pooled_hit_rate, route_interest,
-                                run_simulation, success_rate, SimMetrics)
-from oracles import naive_simulation, random_edge_set
+                                pooled_hit_rate, run_simulation, success_rate,
+                                SimMetrics)
+from oracles import naive_simulation, plain_bfs_dist, random_edge_set
 
 
 def line_topology(n, origin=None):
@@ -99,47 +99,58 @@ class TestAssignRoles:
 
 
 class TestRouteInterest:
+    """One-interest static runs: where the interest is served and which
+    nodes forward it."""
+
+    def route(self, topo, caches, consumer, item):
+        return run_simulation(topo, static_assignment(caches),
+                              roles_of([consumer], sorted(caches)),
+                              workload_of([(consumer, item)]))
+
+    def served(self, metrics):
+        return (metrics.satisfied_self, metrics.satisfied_from_cache,
+                metrics.satisfied_from_origin, metrics.unsatisfied)
+
     def test_served_by_adjacent_cache(self):
-        topo = line_topology(3)
-        outcome = route_interest(topo, {1: {0}}, 0, 0)
-        assert outcome.served_from == "cache"
-        assert outcome.server == 1
-        assert outcome.path == (0, 1)
+        metrics = self.route(line_topology(3), {1: {0}}, 0, 0)
+        assert self.served(metrics) == (0, 1, 0, 0)
+        assert metrics.cache_responses == [0, 1, 0]
+        assert metrics.forwards == [0, 0, 0]
 
     def test_served_by_origin_with_forward(self):
-        topo = line_topology(3)
-        outcome = route_interest(topo, {}, 0, 0)
-        assert outcome.served_from == "origin"
-        assert outcome.server == 2
-        assert outcome.path == (0, 1, 2)
+        metrics = self.route(line_topology(3), {}, 0, 0)
+        assert self.served(metrics) == (0, 0, 1, 0)
+        assert metrics.cache_responses == [0, 0, 0]
+        assert metrics.forwards == [0, 1, 0]
 
     def test_self_served(self):
-        topo = line_topology(3)
-        outcome = route_interest(topo, {0: {4}}, 0, 4)
-        assert outcome.served_from == "self"
-        assert outcome.path == ()
+        metrics = self.route(line_topology(3), {0: {4}}, 0, 4)
+        assert self.served(metrics) == (1, 0, 0, 0)
+        assert metrics.cache_responses == [0, 0, 0]
+        assert metrics.forwards == [0, 0, 0]
 
     def test_unreachable(self):
         topo = from_edges([(0, 1), (2, 3)], origin_spec=3)
-        outcome = route_interest(topo, {}, 0, 0)
-        assert outcome.served_from == "none"
-        assert outcome.server is None
+        metrics = self.route(topo, {}, 0, 0)
+        assert self.served(metrics) == (0, 0, 0, 1)
+        assert metrics.cache_responses == [0, 0, 0, 0]
+        assert metrics.forwards == [0, 0, 0, 0]
 
     def test_nearest_holder_tie_smaller_id(self):
         # consumer 2 sits between holders 1 and 3 at distance 1
         topo = from_edges([(0, 1), (1, 2), (2, 3), (3, 4)], origin_spec=4)
-        outcome = route_interest(topo, {1: {0}, 3: {0}}, 2, 0)
-        assert outcome.server == 1
+        metrics = self.route(topo, {1: {0}, 3: {0}}, 2, 0)
+        assert self.served(metrics) == (0, 1, 0, 0)
+        assert metrics.cache_responses == [0, 1, 0, 0, 0]
+        assert metrics.forwards == [0, 0, 0, 0, 0]
 
     def test_next_hop_tie_smallest_id(self):
         # two equal-length routes 0-1-3 and 0-2-3; the 1-branch wins
         topo = from_edges([(0, 1), (0, 2), (1, 3), (2, 3)], origin_spec=3)
-        outcome = route_interest(topo, {}, 0, 0)
-        assert outcome.path == (0, 1, 3)
-
-    def test_invalid_item(self):
-        with pytest.raises(ValueError, match="item"):
-            route_interest(line_topology(3), {}, 0, -1)
+        metrics = self.route(topo, {}, 0, 0)
+        assert self.served(metrics) == (0, 0, 1, 0)
+        assert metrics.cache_responses == [0, 0, 0, 0]
+        assert metrics.forwards == [0, 1, 0, 0]
 
 
 class TestRunSimulation:
@@ -285,12 +296,23 @@ class TestPathCacheReuse:
         # the same sources as hop-by-hop routing: each consumer that looks
         # for a holder and each server it routes to
         topo, assignment, roles, workload = self.cell()
-        caches = {v: assignment.items_at(v) for v in assignment.nodes()}
-        routed = [(c, route_interest(topo, caches, c, item))
-                  for c, item in set(workload.draws)]
-        expected = ({c for c, o in routed if o.served_from != "self"} |
-                    {o.server for c, o in routed if o.path})
-        assert {o.served_from for _, o in routed} == {"cache", "origin", "none"}
+        holders = assignment.holders_by_item()
+        served, expected = set(), set()
+        for c, item in set(workload.draws):
+            found = holders.get(item, set()) | {topo.origin}
+            if c in found:
+                served.add("self")
+                continue
+            expected.add(c)
+            dist = plain_bfs_dist(topo.adjacency, c)
+            reachable = [h for h in found if h in dist]
+            if not reachable:
+                served.add("none")
+                continue
+            server = min(reachable, key=lambda h: (dist[h], h))
+            served.add("origin" if server == topo.origin else "cache")
+            expected.add(server)
+        assert served == {"cache", "origin", "none"}
         sources = self.count_bfs(monkeypatch)
         run_simulation(topo, assignment, roles, workload, path_cache=PathCache(topo))
         assert sorted(sources) == sorted(expected)
