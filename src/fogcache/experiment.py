@@ -1,7 +1,9 @@
 """Experiment orchestration: plans, scheme sweeps, aggregation, reports."""
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -280,10 +282,14 @@ def _format_value(key, value):
 
 
 def table_to_csv(table: ResultTable) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in table.rows + table.aggregates:
-        lines.append(",".join(_format_value(k, row[k]) for k in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    """Header and rows, quoting only a field that needs it (a topology label
+    with a comma), so other tables keep their plain bytes."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_format_value(k, row[k]) for k in CSV_COLUMNS]
+                     for row in table.rows + table.aggregates)
+    return buffer.getvalue()
 
 
 def _means(table: ResultTable) -> dict[tuple, dict]:

@@ -180,14 +180,29 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
 
 
 def connected_components(topology: Topology) -> list[tuple[int, ...]]:
-    """Node sets of each component, ordered by smallest member id."""
-    components, seen = [], set()
-    for start in range(topology.node_count):
-        if start not in seen:
-            comp = bfs_shortest_paths(topology, start).order
-            seen.update(comp)
-            components.append(tuple(sorted(comp)))
-    return components
+    """Node sets of each component, ordered by smallest member id, from a
+    union-find over the edges (the smaller root wins); members are gathered
+    in ascending id."""
+    parent = list(range(topology.node_count))
+
+    def root(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    for v, nbrs in enumerate(topology.adjacency):
+        rv = root(v)
+        for w in nbrs:
+            if w > v:  # each edge once
+                rw = root(w)
+                if rw < rv:
+                    parent[rv] = rv = rw
+                elif rv < rw:
+                    parent[rw] = rv
+    members: dict[int, list[int]] = {}
+    for v in range(len(parent)):
+        members.setdefault(root(v), []).append(v)
+    return [tuple(m) for m in members.values()]
 
 
 class PathCache:

@@ -16,9 +16,12 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
     component.
 
     kind "geometric": uniform points in the unit square, edges within radius
-    ``density`` (urban-style local connectivity); "grid": rectangular lattice
+    ``density`` (urban-style local connectivity), found with a fixed-radius
+    cell list (Bentley, Stanat & Williams 1977); "grid": rectangular lattice
     (``density`` unused); "erdos_renyi": each pair linked with probability
-    ``density``.  Warns when the giant component holds < 95% of the nodes.
+    ``density``, an O(n^2) scan by design since its per-pair draw order
+    defines the graph.  ``density`` must not be NaN or negative for either.
+    Warns when the giant component holds < 95% of the nodes.
 
     The origin is placed at the most peripheral node (largest total shortest-
     path distance, ties to the smaller id): the full-catalog service gateway
@@ -27,12 +30,12 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
     """
     if node_count < 2:
         raise ValueError("node_count must be >= 2")
+    if kind in ("geometric", "erdos_renyi") and not density >= 0:
+        raise ValueError(f"density must be a non-negative number, got {density!r}")
     if kind == "geometric":
         rng = random.Random(seed)
-        pts = [(rng.random(), rng.random()) for _ in range(node_count)]
-        r2 = density * density
-        edges = [(i, j) for i in range(node_count) for j in range(i + 1, node_count)
-                 if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= r2]
+        edges = _geometric_edges(
+            [(rng.random(), rng.random()) for _ in range(node_count)], density)
     elif kind == "grid":
         rows = math.isqrt(node_count)
         while node_count % rows:
@@ -66,3 +69,30 @@ def generate_synthetic_topology(kind: str, node_count: int, density: float,
     keep = set(giant)
     return from_edges([(a, b) for a, b in edges if a in keep and b in keep],
                       origin_spec=max(giant, key=lambda v: (far[v], -v)))
+
+
+def _geometric_edges(points, radius):
+    """Sorted (i, j), i < j, pairs of points within ``radius``, from a
+    fixed-radius cell list: each point is tested only against the points in
+    its own and the 8 neighbouring cells of a k x k grid over the unit square.
+    The cells are slightly wider than ``radius``, so rounding in a cell index
+    cannot drop a pair; k is capped near sqrt(n), about one point per cell,
+    which also bounds it for a zero radius."""
+    width = abs(radius) * (1 + 1e-9)
+    k = math.isqrt(len(points)) + 1
+    if width * k > 1:
+        k = max(1, int(1 / width))
+    where = [(int(x * k), int(y * k)) for x, y in points]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, cell in enumerate(where):
+        cells.setdefault(cell, []).append(i)
+    r2 = radius * radius
+    edges = []
+    for i, ((xi, yi), (cx, cy)) in enumerate(zip(points, where)):
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                for j in cells.get((nx, ny), ()):
+                    xj, yj = points[j]
+                    if j > i and (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
+                        edges.append((i, j))
+    return sorted(edges)

@@ -175,3 +175,12 @@ def naive_simulation(topology, caches, providers, draws, capacity,
 def random_edge_set(rng: random.Random, n: int, p: float = 0.45):
     return [(i, j) for i in range(n) for j in range(i + 1, n)
             if rng.random() < p]
+
+
+def geometric_pair_scan(points, radius):
+    """Every point pair within ``radius`` by testing all n(n-1)/2 pairs, in
+    (i, j), i < j order: the geometric generator's edge step before its cell
+    list."""
+    node_count, pts, r2 = len(points), points, radius * radius
+    return [(i, j) for i in range(node_count) for j in range(i + 1, node_count)
+            if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= r2]

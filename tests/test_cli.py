@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from fogcache import experiment
@@ -43,6 +45,13 @@ class TestTopologyCommands:
     def test_bad_generation_parameters(self):
         assert main(["topology", "generate", "--kind", "geometric",
                      "--nodes", "5", "--density", "0.0"]) == 1
+
+    @pytest.mark.parametrize("kind", ["geometric", "erdos_renyi"])
+    @pytest.mark.parametrize("density", ["nan", "-0.1"])
+    def test_nan_or_negative_density(self, kind, density, capsys):
+        assert main(["topology", "generate", "--kind", kind, "--nodes", "20",
+                     f"--density={density}"]) == 1
+        assert "density" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:
@@ -202,6 +211,21 @@ class TestExperimentCommand:
                      "no_fog", "--alphas", "0.5", "--repetitions", "1",
                      "--interests", "10", "--output-dir", str(out_dir)]) == 0
         assert self.labels(out_dir) == {"t"}
+
+    def test_comma_label_quoted(self, line_file, tmp_path, capsys,
+                                monkeypatch):
+        (tmp_path / "a,b.txt").write_text(line_file.read_text())
+        monkeypatch.chdir(tmp_path)
+        small = ["--topology", "a,b.txt", "--interests", "10"]
+        assert main(["simulate", "--scheme", "no_fog", *small]) == 0
+        simulated = capsys.readouterr().out
+        assert main(["experiment", "--schemes", "no_fog", "--alphas", "0.5",
+                     "--repetitions", "1", "--output-dir", "out", *small]) == 0
+        for text in (simulated, (tmp_path / "out" / "results.csv").read_text()):
+            rows = list(csv.reader(text.splitlines()))
+            assert rows[0] == list(CSV_COLUMNS)
+            assert all(len(row) == 12 for row in rows)
+            assert {row[0] for row in rows[1:]} == {"a,b"}
 
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),

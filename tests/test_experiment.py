@@ -1,7 +1,12 @@
+import hashlib
 import math
+import random
 import warnings
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fogcache import experiment
 from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
@@ -9,9 +14,9 @@ from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
                                  derive_seed, emit_report, mean_metric,
                                  parse_config, plan_from_config, run_experiment,
                                  summary_text, table_to_csv)
-from fogcache.graph import connected_components, from_edges
-from fogcache.synthetic import generate_synthetic_topology
-from oracles import adjacency_sets, plain_bfs_dist
+from fogcache.graph import connected_components, from_edges, serialize_topology
+from fogcache.synthetic import _geometric_edges, generate_synthetic_topology
+from oracles import adjacency_sets, geometric_pair_scan, plain_bfs_dist
 
 
 def small_topology(seed=3):
@@ -75,6 +80,12 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="empty edge set"):
             generate_synthetic_topology("geometric", 5, 0.0, seed=0)
 
+    @pytest.mark.parametrize("kind", ["geometric", "erdos_renyi"])
+    @pytest.mark.parametrize("density", [math.nan, -0.1, -1.5])
+    def test_nan_or_negative_density_rejected(self, kind, density):
+        with pytest.raises(ValueError, match="density"):
+            generate_synthetic_topology(kind, 20, density, seed=0)
+
     def test_small_giant_component_warns(self):
         with pytest.warns(UserWarning, match="giant component"):
             generate_synthetic_topology("geometric", 60, 0.12, seed=1)
@@ -91,6 +102,96 @@ class TestSynthetic:
             assert 5.0 <= mean_degree <= 7.0
             assert len(connected_components(t)) == 1
         assert [t.original_ids[t.origin] for _, t in topos] == [202, 44, 24]
+
+
+def _short_sha(topology):
+    return hashlib.sha256(serialize_topology(topology).encode()).hexdigest()[:12]
+
+
+# radii at which the cell count k = floor(1 / (r (1 + 1e-9))) steps, and their
+# float neighbours
+_STEP_RADII = [r for m in range(1, 40)
+               for edge in (1 / m, 1 / m / (1 + 1e-9))
+               for r in (math.nextafter(edge, 0), edge, math.nextafter(edge, 1))]
+
+
+# points that lift n to 16, so the cap on the cell count stays above 4
+_FILLER = [(i / 16, 0.0) for i in range(14)]
+
+
+@st.composite
+def _point_sets(draw):
+    """Up to 400 seeded points, uniform or on a lattice of cell edges, with a
+    radius from the fixed set, a cell-count step or anywhere in [0, 1.5]."""
+    n = draw(st.integers(min_value=2, max_value=400))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    lattice = draw(st.integers(min_value=0, max_value=12))
+    if lattice:
+        points = [(rng.randrange(lattice) / lattice, rng.randrange(lattice) / lattice)
+                  for _ in range(n)]
+    else:
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+    radius = draw(st.one_of(
+        st.sampled_from([0.0, 1e-4, 0.5, 1 / math.sqrt(2), 1.5]),
+        st.sampled_from(_STEP_RADII),
+        st.floats(min_value=0, max_value=1.5)))
+    return points, radius
+
+
+class TestGeometricEdges:
+    @settings(max_examples=80, deadline=None)
+    @given(_point_sets())
+    @example(([(0.0, 0.0), (0.5, 0.0)], 0.5))
+    @example(([(0.0, 0.0), (0.0, 0.0), (0.3, 0.3)], 0.0))
+    @example(([(a / 7, b / 7) for a in range(7) for b in range(7)], 1 / 7))
+    # pairs whose cells would lie two apart if the cells were exactly r wide
+    # (rounding of x * k) or narrower than r (r just above 1/4)
+    @example(([(0.24999999999999997, 0.5), (0.5, 0.5)] + _FILLER, 0.25))
+    @example(([(0.2499999999999, 0.5), (0.5 + 1e-10, 0.5)] + _FILLER,
+              0.25 * (1 + 0.5e-9)))
+    def test_matches_pair_scan(self, case):
+        points, radius = case
+        assert _geometric_edges(points, radius) == geometric_pair_scan(points, radius)
+
+    def test_cell_edges_and_exact_radius_kept(self):
+        # radius 7/32 over 40 points gives 4 cells of width 1/4: the lattice
+        # points lie on cell edges, and each offset point lies exactly 7/32
+        # (in exact arithmetic) from a lattice point across a cell edge
+        r = 7 / 32
+        lattice = [(a / 4, b / 4) for a in range(4) for b in range(4)]
+        points = (lattice + [(x - r, y) for x, y in lattice if x > r]
+                  + [(x, y - r) for x, y in lattice if y > r])
+        assert len(points) == 40
+        edges = _geometric_edges(points, r)
+        assert edges == geometric_pair_scan(points, r)
+        exact = Fraction(r) ** 2
+        at_radius = [(i, j) for i, j in combinations(range(len(points)), 2)
+                     if (Fraction(points[i][0]) - Fraction(points[j][0])) ** 2
+                     + (Fraction(points[i][1]) - Fraction(points[j][1])) ** 2 == exact]
+        assert len(at_radius) >= 24
+        assert set(at_radius) <= set(edges)
+
+
+class TestGeneratedGraphsPinned:
+    """sha256 prefixes of ``serialize_topology``: the default plan's graphs
+    and the n = 1000 / 2000 graphs of the benchmark's lru_churn and
+    cbc_n2000 workloads."""
+
+    def test_default_topologies(self):
+        # their origins (202, 44, 24) are pinned by test_default_topologies_shape
+        assert [_short_sha(t) for _, t in default_topologies()] == [
+            "36bb9dbd3ffe", "d902781f7d55", "40a3f3c2af8b"]
+
+    @pytest.mark.parametrize("n,sha,nodes,edges,origin", [
+        (1000, "2d254e053a00", 989, 2984, 653),
+        (2000, "f8df68e062f9", 1980, 6074, 214)])
+    def test_scaled_geometric(self, n, sha, nodes, edges, origin):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            topo = generate_synthetic_topology("geometric", n,
+                                               0.078 * math.sqrt(330 / n), 6)
+        assert (_short_sha(topo), topo.node_count, topo.edge_count,
+                topo.original_ids[topo.origin]) == (sha, nodes, edges, origin)
 
 
 class TestDeriveSeed:

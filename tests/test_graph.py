@@ -198,6 +198,13 @@ class TestConnectedComponents:
     @given(small_graphs(max_nodes=10))
     @example(from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6)))
     @example(from_edges([], nodes=range(3)))
+    @example(from_edges([(5, 9), (1, 9), (0, 5), (2, 7), (3, 7), (6, 8)],
+                        nodes=range(12)))
+    # node 4 joins two trees whose roots are both smaller than its own
+    @example(from_edges([(0, 5), (1, 6), (4, 5), (4, 6)], nodes=range(8)))
+    # 90 nodes in 54 components
+    @example(from_edges([(i, i + 1) for i in range(0, 90, 3)]
+                        + [(i, i + 5) for i in range(0, 80, 15)], nodes=range(90)))
     def test_matches_plain_bfs(self, topo):
         # each node's oracle reach is its component; sorted tuples order
         # disjoint components by smallest member
