@@ -102,8 +102,7 @@ def _run(args) -> int:
                                         "schemes": args.scheme,
                                         "alphas": str(args.alpha)})
         label, topology = plan.topologies[0]
-        catalog = plan.catalog()
-        roles, workload = exp.cell_inputs(plan, 0, args.repetition, catalog)
+        roles, workload = exp.cell_inputs(plan, 0, args.repetition)
         policy = ReplicationPolicy(plan.alphas[0], plan.buffer_items,
                                    plan.catalog_size)
         cache = PathCache(topology)
@@ -113,8 +112,8 @@ def _run(args) -> int:
         if args.command == "centrality":
             export_scores_csv(scores, topology, buffer)
         else:
-            assignment = exp.assignment_for(args.scheme, topology, scores, catalog,
-                                            sorted(roles.providers), policy)
+            assignment = exp.assignment_for(args.scheme, scores, roles.providers,
+                                            policy)
             if args.command == "place":
                 export_assignment_csv(assignment, topology, buffer)
             else:

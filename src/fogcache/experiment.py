@@ -113,15 +113,14 @@ def derive_seed(master_seed: int, topology_index: int, repetition: int,
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int,
-                catalog: ContentCatalog | None = None
+def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int
                 ) -> tuple[RoleAssignment, InterestWorkload]:
     """Roles and interests of one (topology, repetition) cell: the only code
-    that seeds a cell.  ``catalog`` defaults to ``plan.catalog()``."""
+    that seeds a cell."""
     seed = partial(derive_seed, plan.master_seed, topology_index, repetition)
     roles = assign_roles(plan.topologies[topology_index][1], plan.consumer_frac,
                          plan.provider_frac, seed("roles"))
-    return roles, generate_interests(catalog or plan.catalog(), roles.consumers,
+    return roles, generate_interests(plan.catalog(), roles.consumers,
                                      plan.interests_per_run, seed("workload"))
 
 
@@ -157,13 +156,12 @@ def centrality_for(kind: str, topology: Topology, cache: PathCache,
         return eigenvector_centrality(topology)
     if kind == "cbc":
         return cbc_replication(topology, roles.consumers, policy,
-                               sorted(roles.providers), cache)
+                               roles.providers, cache)
     raise ValueError(f"unknown centrality kind {kind!r}")
 
 
-def assignment_for(scheme: str, topology: Topology,
-                   scores: CentralityScores | None, catalog: ContentCatalog,
-                   providers, policy: ReplicationPolicy) -> CacheAssignment:
+def assignment_for(scheme: str, scores: CentralityScores | None, providers,
+                   policy: ReplicationPolicy) -> CacheAssignment:
     """Cache contents of ``scheme`` over the sorted ``providers``; ``scores``
     ranks the fog of a ``RANKED`` scheme and is ignored otherwise."""
     if scheme == "lru_social_unaware":
@@ -174,11 +172,9 @@ def assignment_for(scheme: str, topology: Topology,
                                      fog=tuple(providers),
                                      buffer_items=policy.buffer_items)
     elif scheme == "no_fog":
-        assignment = place_noncollaborative(catalog, providers,
-                                            policy.buffer_items)
+        assignment = place_noncollaborative(providers, policy)
     elif scheme in RANKED:
-        assignment = place_fog(topology, scores, catalog, providers,
-                               policy.buffer_items, policy.alpha)
+        assignment = place_fog(scores, providers, policy)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return replace(assignment, scheme=scheme)
@@ -207,7 +203,6 @@ def simulate(topology: Topology, assignment: CacheAssignment,
 
 def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     label, topology = plan.topologies[topology_index]
-    catalog = plan.catalog()
     cache = PathCache(topology)
     # classic scores depend on the topology alone; cbc is computed per cell
     classic = {kind: centrality_for(kind, topology, cache)
@@ -215,8 +210,7 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
 
     rows = []
     for rep in range(plan.repetitions):
-        roles, workload = cell_inputs(plan, topology_index, rep, catalog)
-        providers = sorted(roles.providers)
+        roles, workload = cell_inputs(plan, topology_index, rep)
         # a cell reads alpha only through the replica-class sizes, and the
         # schemes outside RANKED not at all: measure each distinct cell once
         cells: dict[tuple, dict] = {}
@@ -229,8 +223,8 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
                 if measured is None:
                     scores = (centrality_for("cbc", topology, cache, roles, policy)
                               if scheme == "cbc" else classic.get(scheme))
-                    assignment = assignment_for(scheme, topology, scores, catalog,
-                                                providers, policy)
+                    assignment = assignment_for(scheme, scores, roles.providers,
+                                                policy)
                     measured = cells[key] = simulate(topology, assignment, roles,
                                                      workload, cache)
                 rows.append({"topology": label, "scheme": scheme,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import ContentCatalog
 from .centrality import CentralityScores, ReplicationPolicy
 from .graph import Topology
 
@@ -34,58 +33,44 @@ class CacheAssignment:
         return holders
 
 
-def _score_order(scores: CentralityScores, topology: Topology, caching_nodes) -> list[int]:
-    # decreasing raw score, ties to the smaller original id
-    return sorted(set(caching_nodes),
-                  key=lambda v: (-scores.raw[v], topology.original_ids[v]))
-
-
-def place_fog(topology: Topology, scores: CentralityScores, catalog: ContentCatalog,
-              caching_nodes, buffer_items: int, alpha: float) -> CacheAssignment:
+def place_fog(scores: CentralityScores, caching_nodes,
+              policy: ReplicationPolicy) -> CacheAssignment:
     """Collaborative placement: nodes join the fog in decreasing score order,
-    each caching the same floor(alpha*b) most popular items plus the most
-    popular items not yet cached anywhere in the fog.
+    ties to the smaller id (dense ids ascend with original ids); each caches
+    the policy's common class of most popular items plus its unique class,
+    the most popular items not yet cached anywhere in the fog.
 
     Fill stops when the catalog is exhausted; late fog nodes may keep spare
-    unique capacity empty.
+    unique capacity empty.  No caching nodes give an empty fog.
     """
-    policy = ReplicationPolicy(alpha, buffer_items, catalog.size)
-    if not caching_nodes:
-        raise ValueError("caching_nodes must be non-empty")
-    order = _score_order(scores, topology, caching_nodes)
+    order = sorted(set(caching_nodes), key=lambda v: (-scores.raw[v], v))
     common, unique, _ = policy.layout(order)
     common = tuple(common)
     return CacheAssignment(scheme="fog", common_parts={v: common for v in order},
                            unique_parts={v: tuple(r) for v, r in unique.items()},
-                           fog=tuple(order), buffer_items=buffer_items)
+                           fog=tuple(order), buffer_items=policy.buffer_items)
 
 
-def place_greedy_popular(catalog: ContentCatalog, caching_nodes,
-                         buffer_items: int) -> CacheAssignment:
+def place_greedy_popular(caching_nodes, policy: ReplicationPolicy) -> CacheAssignment:
     """Social-unaware baseline: every caching node independently holds the
     top-b most popular items (runtime LRU dynamics then churn the contents)."""
-    if buffer_items < 1:
-        raise ValueError("buffer_items must be >= 1")
-    top = tuple(range(min(buffer_items, catalog.size)))
+    top = tuple(range(min(policy.buffer_items, policy.catalog_size)))
     nodes = sorted(set(caching_nodes))
     return CacheAssignment(scheme="greedy_popular",
                            common_parts={v: top for v in nodes},
                            unique_parts={v: () for v in nodes},
-                           fog=tuple(nodes), buffer_items=buffer_items)
+                           fog=tuple(nodes), buffer_items=policy.buffer_items)
 
 
-def place_noncollaborative(catalog: ContentCatalog, caching_nodes,
-                           buffer_items: int) -> CacheAssignment:
+def place_noncollaborative(caching_nodes, policy: ReplicationPolicy) -> CacheAssignment:
     """No-fog baseline: every caching node fills its buffer alone, so all
     hold the identical top-b items, unranked, and no fog set is formed."""
-    if buffer_items < 1:
-        raise ValueError("buffer_items must be >= 1")
-    top = tuple(range(min(buffer_items, catalog.size)))
+    top = tuple(range(min(policy.buffer_items, policy.catalog_size)))
     nodes = sorted(set(caching_nodes))
     return CacheAssignment(scheme="noncollaborative",
                            common_parts={v: () for v in nodes},
                            unique_parts={v: top for v in nodes},
-                           fog=(), buffer_items=buffer_items)
+                           fog=(), buffer_items=policy.buffer_items)
 
 
 def fog_distinct_items(assignment: CacheAssignment) -> set[int]:

@@ -152,9 +152,6 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
                 if served == "cache" or v not in provider_set:
                     continue
                 state = lru.setdefault(v, OrderedDict())
-                if item in state:
-                    state.move_to_end(item)
-                    continue
                 state[item] = None
                 holders.setdefault(item, set()).add(v)
                 if len(state) > capacity:

@@ -191,13 +191,11 @@ def test_criterion_7_placement_structure(capsys):
     for n_fog in (1, 2, 5, 9):
         for b in (1, 3, 6):
             for alpha in (0.0, 0.25, 0.5, 1.0):
-                topo = from_edges([(i, i + 1) for i in range(n_fog + 1)],
-                                  origin_spec=n_fog + 1)
                 raw = tuple(float(x) for x in range(n_fog + 1, 0, -1))
                 scores = CentralityScores(kind="cbc_replication", raw=raw,
                                           normalized=normalize_minmax(raw))
-                assignment = place_fog(topo, scores, catalog,
-                                       list(range(n_fog)), b, alpha)
+                assignment = place_fog(scores, list(range(n_fog)),
+                                       ReplicationPolicy(alpha, b, catalog.size))
                 common = int(alpha * b)
                 expected = min(30, common + n_fog * (b - common))
                 assert len(fog_distinct_items(assignment)) == expected
@@ -210,10 +208,9 @@ def test_criterion_7_placement_structure(capsys):
                     seen.update(part)
                 checked += 1
     # the 2-node hand trace: A outranks B; b=4, alpha=0.5, 6-item catalog
-    topo = from_edges([(0, 1), (1, 2)], origin_spec=2)
     scores = CentralityScores(kind="cbc_replication", raw=(2.0, 1.0, 0.0),
                               normalized=normalize_minmax((2.0, 1.0, 0.0)))
-    assignment = place_fog(topo, scores, zipf_catalog(6), [0, 1], 4, 0.5)
+    assignment = place_fog(scores, [0, 1], ReplicationPolicy(0.5, 4, 6))
     trace_ok = (assignment.common_parts[0] == (0, 1)
                 and assignment.common_parts[1] == (0, 1)
                 and assignment.unique_parts[0] == (2, 3)
@@ -253,7 +250,8 @@ def test_criterion_9_conservation_including_disconnection(capsys):
     for seed in range(5):
         workload = generate_interests(catalog, roles.consumers, 200, seed=seed)
         from fogcache.placement import place_greedy_popular
-        assignment = place_greedy_popular(catalog, roles.providers, 2)
+        assignment = place_greedy_popular(roles.providers,
+                                          ReplicationPolicy(0.0, 2, catalog.size))
         metrics = run_simulation(topo, assignment, roles, workload)
         total = (metrics.satisfied_from_cache + metrics.satisfied_from_origin
                  + metrics.satisfied_self + metrics.unsatisfied)

@@ -16,6 +16,13 @@ def line_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def line4_file(tmp_path):
+    path = tmp_path / "line4.txt"
+    path.write_text("0 1\n1 2\n2 3\n")
+    return path
+
+
 class TestTopologyCommands:
     def test_generate_roundtrips(self, tmp_path, capsys):
         out = tmp_path / "topo.txt"
@@ -111,6 +118,17 @@ class TestAnalysisCommands:
         results = (out_dir / "results.csv").read_text().splitlines()
         assert simulated == results[:2]
 
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "no_fog"])
+    def test_no_providers_matches_no_fog(self, scheme, line4_file, capsys):
+        # an empty fog caches nothing, so every scheme routes like no_fog
+        rows = {}
+        for name in (scheme, "no_fog"):
+            assert main(["simulate", "--scheme", name, "--provider-frac", "0",
+                         "--topology", str(line4_file)]) == 0
+            rows[name] = capsys.readouterr().out.splitlines()[1].split(",")
+        assert rows[scheme][1] == scheme
+        assert rows[scheme][2:] == rows["no_fog"][2:]
+
 
 class TestExperimentCommand:
     def test_small_experiment_writes_reports(self, line_file, tmp_path, capsys):
@@ -152,6 +170,14 @@ class TestExperimentCommand:
                      "--output-dir", str(tmp_path / "out")]) == 0
         rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert {row.split(",")[1] for row in rows[1:]} == set(SCHEMES)
+
+    def test_no_providers_runs_every_scheme(self, line4_file, tmp_path):
+        assert main(["experiment", "--topology", str(line4_file),
+                     "--provider-frac", "0", "--repetitions", "1",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "results.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
+        assert {row["scheme"] for row in rows} == set(SCHEMES)
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "plan.cfg"

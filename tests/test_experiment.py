@@ -356,9 +356,9 @@ class TestRunExperiment:
                                      ("b", small_topology(2))))
         seen = []
 
-        def recorded(plan, topology_index, repetition, catalog=None):
+        def recorded(plan, topology_index, repetition):
             seen.append((topology_index, repetition))
-            return cell_inputs(plan, topology_index, repetition, catalog)
+            return cell_inputs(plan, topology_index, repetition)
 
         monkeypatch.setattr(experiment, "cell_inputs", recorded)
         rows = run_experiment(plan).rows

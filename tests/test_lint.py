@@ -23,6 +23,25 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter (``self``/``cls`` aside)
+    that its function's body never reads."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unused += [f"{name}.{p}" for p in params
+                   if p not in ("self", "cls") and p not in read]
+    return unused
+
+
 def test_detects_unused_import():
     source = ("import os\nfrom dataclasses import dataclass, field\n"
               "@dataclass\nclass A: pass\n")
@@ -32,3 +51,17 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_unused_parameter():
+    source = ("def f(a, b, *args, c, d=1, **kw):\n    b = d\n    return a + c\n"
+              "class K:\n    def m(self, x):\n        pass\n"
+              "    @classmethod\n    def n(cls, y):\n        return y\n"
+              "g = lambda z, w: w\n")
+    assert unused_parameters(source) == ["f.b", "f.args", "f.kw", "m.x",
+                                         "<lambda>.z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

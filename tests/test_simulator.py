@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fogcache import graph
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
+from fogcache.centrality import ReplicationPolicy
 from fogcache.graph import PathCache, from_edges
 from fogcache.placement import CacheAssignment, place_greedy_popular
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
@@ -195,7 +196,8 @@ class TestRunSimulation:
     def test_lru_big_capacity_second_pass_hits(self):
         topo = line_topology(4)
         catalog = zipf_catalog(6)
-        assignment = place_greedy_popular(catalog, [1, 2], 6)
+        assignment = place_greedy_popular([1, 2],
+                                          ReplicationPolicy(0.0, 6, catalog.size))
         draws = [(0, r) for r in range(6)] * 2
         metrics = run_simulation(topo, assignment, roles_of([0], [1, 2]),
                                  workload_of(draws), lru_enabled=True)
@@ -230,7 +232,8 @@ class TestRunSimulation:
     def test_deterministic(self):
         topo = line_topology(8)
         catalog = zipf_catalog(12)
-        assignment = place_greedy_popular(catalog, [2, 4], 3)
+        assignment = place_greedy_popular([2, 4],
+                                          ReplicationPolicy(0.0, 3, catalog.size))
         workload = generate_interests(catalog, [0, 1], 500, seed=6)
         runs = [run_simulation(topo, assignment, roles_of([0, 1], [2, 4]),
                                workload, lru_enabled=True) for _ in range(2)]
@@ -281,7 +284,8 @@ class TestPathCacheReuse:
                           origin_spec=13)
         roles = assign_roles(topo, 0.4, 0.4, seed=2)
         catalog = zipf_catalog(8)
-        assignment = place_greedy_popular(catalog, roles.providers, 2)
+        assignment = place_greedy_popular(roles.providers,
+                                          ReplicationPolicy(0.0, 2, catalog.size))
         workload = generate_interests(catalog, roles.consumers, 300, seed=3)
         return topo, assignment, roles, workload
 
