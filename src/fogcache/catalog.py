@@ -17,11 +17,11 @@ class ContentCatalog:
     def __post_init__(self):
         if not self.popularity:
             raise ValueError("catalog must contain at least one item")
-        if any(p <= 0 for p in self.popularity):
+        if any(not p > 0 for p in self.popularity):
             raise ValueError("popularity values must be strictly positive")
         if any(a < b for a, b in zip(self.popularity, self.popularity[1:])):
             raise ValueError("popularity must be non-increasing in rank")
-        if abs(sum(self.popularity) - 1.0) > 1e-12:
+        if not abs(sum(self.popularity) - 1.0) <= 1e-12:
             raise ValueError("popularity must sum to 1")
 
     @property
@@ -33,7 +33,7 @@ def zipf_popularity(n: int, exponent: float = 1.0) -> tuple[float, ...]:
     """p_k = k^(-exponent) / sum_j j^(-exponent), k = 1..n."""
     if n < 1:
         raise ValueError("catalog size must be >= 1")
-    if exponent <= 0:
+    if not exponent > 0:
         raise ValueError("exponent must be positive")
     weights = [k ** -exponent for k in range(1, n + 1)]
     total = sum(weights)

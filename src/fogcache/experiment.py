@@ -18,9 +18,9 @@ from .centrality import (CentralityScores, ReplicationPolicy,
                          eigenvector_centrality)
 from .graph import PathCache, Topology, load_topology
 from .placement import CacheAssignment, place_fog, place_noncollaborative
-from .simulator import (RoleAssignment, SimMetrics, assign_roles,
-                        cache_hit_rate, check_role_fractions, pooled_hit_rate,
-                        run_simulation, success_rate)
+from .simulator import (RoleAssignment, assign_roles, cache_hit_rate,
+                        check_role_fractions, pooled_hit_rate, run_simulation,
+                        success_rate)
 from .synthetic import generate_synthetic_topology
 
 # schemes that place caches with place_fog in the order of a centrality of
@@ -180,8 +180,14 @@ def assignment_for(scheme: str, scores: CentralityScores | None, providers,
     return replace(assignment, scheme=scheme)
 
 
-def measure(metrics: SimMetrics) -> dict:
-    """The result columns of one simulation run."""
+def simulate(topology: Topology, assignment: CacheAssignment,
+             roles: RoleAssignment, workload: InterestWorkload,
+             cache: PathCache) -> dict:
+    """The result columns of ``assignment`` on ``workload``.  Only the LRU
+    scheme's caches change at runtime."""
+    lru = assignment.scheme == "lru_social_unaware"
+    metrics = run_simulation(topology, assignment, roles, workload,
+                             lru_enabled=lru, path_cache=cache)
     return {"hit_rate": cache_hit_rate(metrics),
             "success_rate": success_rate(metrics),
             "generated": metrics.interests_generated,
@@ -189,16 +195,6 @@ def measure(metrics: SimMetrics) -> dict:
             "origin_satisfied": metrics.satisfied_from_origin,
             "unsatisfied": metrics.unsatisfied,
             "pooled_hit_rate": pooled_hit_rate(metrics)}
-
-
-def simulate(topology: Topology, assignment: CacheAssignment,
-             roles: RoleAssignment, workload: InterestWorkload,
-             cache: PathCache) -> dict:
-    """Measure ``assignment`` on ``workload``.  Only the LRU scheme's caches
-    change at runtime."""
-    lru = assignment.scheme == "lru_social_unaware"
-    return measure(run_simulation(topology, assignment, roles, workload,
-                                  lru_enabled=lru, path_cache=cache))
 
 
 def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
@@ -330,23 +326,26 @@ def summary_text(table: ResultTable) -> str:
 
 
 def emit_report(table: ResultTable, destination, gnuplot: bool = False) -> list[Path]:
-    """Write results.csv and summary.txt (plus optional gnuplot .dat files)
-    under ``destination``."""
+    """Write results.csv and summary.txt (plus optional gnuplot .dat files,
+    named after the topology label with '/' as '_') under ``destination``;
+    labels that share a .dat name are rejected before any file is written."""
+    topologies, schemes, alphas = _axes(table)
+    dat_labels: dict[str, str] = {}
+    for topology in topologies if gnuplot else ():
+        other = dat_labels.setdefault(topology.replace("/", "_"), topology)
+        if other != topology:
+            raise ValueError(f"topologies {other!r} and {topology!r} share "
+                             "the gnuplot file names")
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = dest / "results.csv"
-    csv_path.write_text(table_to_csv(table))
-    written.append(csv_path)
-    summary_path = dest / "summary.txt"
-    summary_path.write_text(summary_text(table))
-    written.append(summary_path)
+    written = [dest / "results.csv", dest / "summary.txt"]
+    written[0].write_text(table_to_csv(table))
+    written[1].write_text(summary_text(table))
     if gnuplot:
-        topologies, schemes, alphas = _axes(table)
         means = _means(table)
         for metric in ("hit_rate", "success_rate"):
-            for topology in topologies:
-                path = dest / f"{metric}_{topology}.dat".replace("/", "_")
+            for name, topology in dat_labels.items():
+                path = dest / f"{metric}_{name}.dat"
                 lines = ["# alpha " + " ".join(schemes)]
                 for alpha in alphas:
                     cells = " ".join(f"{means[topology, s, alpha][metric]:.6f}"

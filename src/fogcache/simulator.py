@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
 
 from .catalog import InterestWorkload
 from .graph import UNREACHABLE, PathCache, Topology
@@ -82,81 +83,66 @@ def _choose_server(cache: PathCache, holders, consumer: int):
     return ("origin" if server == origin else "cache"), server
 
 
-def _walk(cache: PathCache, consumer: int, server: int):
-    """Second routing step: the hops strictly between ``consumer`` and
-    ``server`` on the server's next-hop tree.  Each hop is strictly closer to
-    ``consumer`` than the nearest holder, so none of them holds the item."""
-    hops = cache.next_hops(server)
-    v = hops[consumer]
-    while v != server:
-        yield v
-        v = hops[v]
-
-
 def run_simulation(topology: Topology, assignment: CacheAssignment,
                    roles: RoleAssignment, workload: InterestWorkload,
                    lru_enabled: bool = False,
                    path_cache: PathCache | None = None) -> SimMetrics:
-    """Process the workload in order, accumulating counters.
+    """Route the workload and accumulate counters.
 
-    With ``lru_enabled`` (social-unaware baseline), every provider on the
-    return path of an origin-served interest inserts the item, evicting its
-    least-recently-used entry at capacity; cache hits refresh recency.  All
-    other schemes keep their placed caches static.
-    """
+    Static caches make an interest's outcome depend only on its (consumer,
+    item) pair, so each distinct pair is routed once, weighted by its count.
+    With ``lru_enabled`` (social-unaware baseline) interests go in order:
+    every provider on the return path of an origin-served interest inserts
+    the item, evicting its least-recently-used entry at capacity, and cache
+    hits refresh recency."""
     n = topology.node_count
     cache = path_cache or PathCache(topology)
     consumer_set = set(roles.consumers)
-    for c, item in workload.draws:
-        if c not in consumer_set:
-            raise ValueError(f"workload consumer {c} lacks the consumer role")
-        if item < 0:
-            raise ValueError(f"invalid item rank {item}")
     holders: dict[int, set[int]] = assignment.holders_by_item()
     empty: set[int] = set()
     served_counts: Counter[str] = Counter()
     responses = [0] * n
     forwards = [0] * n
-
-    if not lru_enabled:
-        # static caches: outcomes depend only on the (consumer, item) pair,
-        # so route each distinct pair once
-        for (c, item), count in Counter(workload.draws).items():
-            served, server = _choose_server(cache, holders.get(item, empty), c)
-            served_counts[served] += count
-            if served == "cache":
-                responses[server] += count
-            elif served != "origin":
-                continue
-            for v in _walk(cache, c, server):
-                forwards[v] += count
-    else:
+    if lru_enabled:
         provider_set = set(roles.providers)
         capacity = assignment.buffer_items
         # per-provider recency state, least-recent first; seed it with the
         # placed contents so the least popular item is evicted first
-        lru: dict[int, OrderedDict[int, None]] = {}
-        for v in assignment.nodes():
-            lru[v] = OrderedDict((item, None)
-                                 for item in reversed(assignment.items_at(v)))
-        for c, item in workload.draws:
-            served, server = _choose_server(cache, holders.get(item, empty), c)
-            served_counts[served] += 1
-            if served == "cache":
-                responses[server] += 1
+        lru = {v: OrderedDict.fromkeys(reversed(assignment.items_at(v)))
+               for v in assignment.nodes()}
+        interests = zip(workload.draws, repeat(1))
+    else:
+        interests = Counter(workload.draws).items()
+
+    for (c, item), count in interests:
+        if c not in consumer_set:
+            raise ValueError(f"workload consumer {c} lacks the consumer role")
+        if item < 0:
+            raise ValueError(f"invalid item rank {item}")
+        served, server = _choose_server(cache, holders.get(item, empty), c)
+        served_counts[served] += count
+        if served == "cache":
+            responses[server] += count
+            if lru_enabled:
                 lru[server].move_to_end(item)
-            elif served != "origin":
-                continue
-            for v in _walk(cache, c, server):
-                forwards[v] += 1
-                if served == "cache" or v not in provider_set:
-                    continue
+        elif served != "origin":
+            continue
+        # walk the hops strictly between consumer and server on the server's
+        # next-hop tree; each is strictly nearer the consumer than the
+        # nearest holder, so none of them holds the item
+        inserting = lru_enabled and served == "origin"
+        hops = cache.next_hops(server)
+        v = hops[c]
+        while v != server:
+            forwards[v] += count
+            if inserting and v in provider_set:
                 state = lru.setdefault(v, OrderedDict())
                 state[item] = None
                 holders.setdefault(item, set()).add(v)
                 if len(state) > capacity:
                     evicted, _ = state.popitem(last=False)
                     holders[evicted].discard(v)
+            v = hops[v]
 
     # a node receives every interest it forwards or serves
     received = [f + r for f, r in zip(forwards, responses)]

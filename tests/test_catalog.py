@@ -35,6 +35,8 @@ class TestZipfPopularity:
             zipf_popularity(0, 1.0)
         with pytest.raises(ValueError):
             zipf_popularity(5, 0.0)
+        with pytest.raises(ValueError):
+            zipf_popularity(5, float("nan"))
 
 
 class TestContentCatalog:
@@ -45,6 +47,10 @@ class TestContentCatalog:
             ContentCatalog(popularity=(0.4, 0.6))  # increasing in rank
         with pytest.raises(ValueError):
             ContentCatalog(popularity=(0.5, 0.4))  # does not sum to 1
+        with pytest.raises(ValueError):
+            ContentCatalog(popularity=(float("nan"),))
+        with pytest.raises(ValueError):
+            ContentCatalog(popularity=(1.0, float("nan")))
 
     def test_defaults(self):
         catalog = zipf_catalog(100)

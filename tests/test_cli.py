@@ -253,6 +253,29 @@ class TestExperimentCommand:
             assert all(len(row) == 12 for row in rows)
             assert {row[0] for row in rows[1:]} == {"a,b"}
 
+    def test_nan_zipf_exponent(self, line_file, tmp_path):
+        assert main(["experiment", "--topology", str(line_file),
+                     "--zipf-exponent", "nan", "--repetitions", "1",
+                     "--interests", "10",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+
+    def test_colliding_gnuplot_names(self, line_file, tmp_path, capsys,
+                                     monkeypatch):
+        # both labels name the files hit_rate_a_b_t.txt.dat and
+        # success_rate_a_b_t.txt.dat
+        for sub in ("a_b", "a/b"):
+            (tmp_path / sub).mkdir(parents=True)
+            (tmp_path / sub / "t.txt").write_text(line_file.read_text())
+        monkeypatch.chdir(tmp_path)
+        plan = ["experiment", "--topology", "a_b/t.txt", "--topology",
+                "a/b/t.txt", "--schemes", "no_fog", "--alphas", "0.5",
+                "--repetitions", "1", "--interests", "10"]
+        assert main(plan + ["--gnuplot", "--output-dir", "dat"]) == 1
+        assert "'a_b/t.txt' and 'a/b/t.txt'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dat/*"))
+        assert main(plan + ["--output-dir", "plain"]) == 0
+        assert self.labels(tmp_path / "plain") == {"a_b/t.txt", "a/b/t.txt"}
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",

@@ -42,6 +42,25 @@ def unused_parameters(source: str) -> list[str]:
     return unused
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Top-level ``_name`` functions, classes and assignment targets that
+    their module never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
 def test_detects_unused_import():
     source = ("import os\nfrom dataclasses import dataclass, field\n"
               "@dataclass\nclass A: pass\n")
@@ -65,3 +84,16 @@ def test_detects_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_detects_unused_private_name():
+    source = ("_A = 1\n_B, c = 2, 3\n_C: int = 4\n__all__ = ['h']\n"
+              "def _f():\n    return _A\n"
+              "class _K:\n    pass\n"
+              "def h(x=_C):\n    _local = 1\n    return _local + x\n")
+    assert unused_private_names(source) == ["_B", "_f", "_K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []

@@ -270,11 +270,17 @@ class TestRunSimulation:
         assert dataclasses.asdict(metrics) == {"providers": tuple(providers),
                                                **expected}
 
-    def test_workload_consumer_outside_roles_rejected(self):
+    @pytest.mark.parametrize("lru", [False, True])
+    def test_workload_consumer_outside_roles_rejected(self, lru):
         topo = line_topology(3)
-        with pytest.raises(ValueError, match="consumer role"):
+        with pytest.raises(ValueError, match="consumer 1 lacks the consumer role"):
             run_simulation(topo, static_assignment({}), roles_of([0], [1]),
-                           workload_of([(1, 0)]))
+                           workload_of([(1, 0)]), lru_enabled=lru)
+        # the first bad draw decides the message
+        with pytest.raises(ValueError, match="invalid item rank -1"):
+            run_simulation(topo, static_assignment({}), roles_of([0], [1]),
+                           workload_of([(0, 0), (0, -1), (1, 0)]),
+                           lru_enabled=lru)
 
 
 class TestPathCacheReuse:
