@@ -75,16 +75,45 @@ def _accumulate(raw: list[float], topology: Topology, sp: ShortestPathData,
                 delta[p] += sigma[p] * coeff
 
 
+# sources per batched BFS: a batch's arrays grow with it, and larger batches
+# gain little time for the memory (README, "Batched betweenness")
+_BATCH = 32
+
+
 def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -> CentralityScores:
-    """Brandes dependency accumulation over unordered node pairs."""
+    """Brandes dependency accumulation over unordered node pairs, for a batch
+    of sources at a time over the levels of :meth:`PathCache.bfs_levels`.
+
+    Every float gets the additions of :func:`_accumulate` in its order, so the
+    scores are bit-identical to the per-source pass: a level's predecessor
+    edges are summed by ``np.bincount`` in descending child position (the
+    reverse BFS order ``_accumulate`` walks), and each source's dependencies
+    are added to ``raw`` in source order.  A batch whose path counts could
+    overflow int64 takes the per-source pass over Python ints instead.
+    """
     n = topology.node_count
     cache = cache or PathCache(topology)
-    raw = [0.0] * n
-    unit = [1.0] * n
-    for s in range(n):
-        _accumulate(raw, topology, cache.paths_from(s), unit)
+    raw = np.zeros(n)
+    for start in range(0, n, _BATCH):
+        sources = range(start, min(start + _BATCH, n))
+        levels = cache.bfs_levels(sources)
+        if levels is None:
+            unit = [1.0] * n
+            for s in sources:
+                _accumulate(raw, topology, cache.paths_from(s), unit)
+            continue
+        deltas = np.zeros(len(sources) * n)
+        delta = np.zeros(levels[-1].nodes.size)
+        for level, upper in zip(levels[:0:-1], levels[-2::-1]):
+            deltas[level.nodes] = delta
+            coeff = (1.0 + delta) / level.sigma
+            child, parent = level.child[::-1], level.parent[::-1]
+            delta = np.bincount(parent, weights=upper.sigma[parent] * coeff[child],
+                                minlength=upper.nodes.size)
+        for row in deltas.reshape(len(sources), n):
+            raw += row
     # each unordered pair was accumulated from both endpoints
-    return _scores("betweenness", (x / 2.0 for x in raw))
+    return _scores("betweenness", (x / 2.0 for x in raw.tolist()))
 
 
 def eigenvector_centrality(topology: Topology, tol: float = 1e-9,

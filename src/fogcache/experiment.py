@@ -117,6 +117,8 @@ def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int
                 ) -> tuple[RoleAssignment, InterestWorkload]:
     """Roles and interests of one (topology, repetition) cell: the only code
     that seeds a cell."""
+    if repetition < 0:
+        raise ValueError(f"repetition must be >= 0, got {repetition}")
     seed = partial(derive_seed, plan.master_seed, topology_index, repetition)
     roles = assign_roles(plan.topologies[topology_index][1], plan.consumer_frac,
                          plan.provider_frac, seed("roles"))

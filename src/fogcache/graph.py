@@ -3,8 +3,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 UNREACHABLE = -1
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,23 @@ def serialize_topology(topology: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
+class BFSLevel(NamedTuple):
+    """One level of a batched BFS (see :meth:`PathCache.bfs_levels`).
+
+    ``nodes`` holds the level's nodes as batch keys ``b * n + v`` (b the
+    source's index in the batch), each source's in first-discovery order, so
+    they follow the order of :func:`bfs_shortest_paths`; ``sigma`` their int64
+    path counts.  Each predecessor edge into the level links ``nodes[child]``
+    to ``nodes[parent]`` of the level before, and the edges are sorted by
+    ``child``.
+    """
+
+    nodes: np.ndarray
+    sigma: np.ndarray
+    child: np.ndarray
+    parent: np.ndarray
+
+
 def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
     """BFS from ``source`` counting all distinct shortest paths (Python ints,
     exact beyond 2^53)."""
@@ -206,18 +228,112 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 
 class PathCache:
-    """Lazily memoized per-source BFS results (distances, path counts and
-    visitation order) and per-target next-hop arrays for one immutable
-    topology.
+    """Memoized per-source BFS results (distances, path counts and visitation
+    order) and per-target next-hop arrays for one immutable topology.
 
-    Routing and centrality passes reuse BFS output across runs; memoization is
-    append-only so concurrent readers under the GIL are safe.
+    Betweenness fills the per-source results in bulk, batch by batch, through
+    :meth:`bfs_levels`; every other caller fills them lazily, one source at a
+    time, through :meth:`paths_from`.  Routing and centrality passes reuse BFS
+    output across runs; memoization is append-only so concurrent readers under
+    the GIL are safe.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self._sp: dict[int, ShortestPathData] = {}
         self._hops: dict[int, array] = {}
+        # CSR copy of the adjacency for batched BFS, and one int per node id
+        adjacency = topology.adjacency
+        self._indptr = np.cumsum([0, *map(len, adjacency)])
+        self._indices = np.fromiter(chain.from_iterable(adjacency), np.int64,
+                                    count=self._indptr[-1])
+        self._ids = np.arange(len(adjacency)).astype(object)
+
+    def bfs_levels(self, sources) -> list[BFSLevel] | None:
+        """Level-synchronous BFS from every node of ``sources`` at once over a
+        CSR copy of the adjacency (Kepner & Gilbert 2011), with exact int64
+        path counts.  Caches each source's :class:`ShortestPathData`, equal
+        to :func:`bfs_shortest_paths` (an entry already cached is kept), and
+        returns the levels, the sources first.  Returns None and caches
+        nothing when a path count could pass 2^63 - 1: those sources need
+        Python ints (:meth:`paths_from`)."""
+        indptr, indices = self._indptr, self._indices
+        n = indptr.size - 1
+        degree = np.diff(indptr)
+        # a child sums at most max-degree parent counts
+        limit = _INT64_MAX // max(1, int(degree.max()))
+        sources = list(sources)
+        for s in sources:
+            if not 0 <= s < n:
+                raise ValueError(f"invalid source id {s}")
+        nodes = np.arange(len(sources), dtype=np.int64) * n + sources
+        sigma = np.ones(len(sources), dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        levels = [BFSLevel(nodes, sigma, empty, empty)]
+        # per key: unreached (_INT64_MAX), then briefly the first candidate
+        # edge to reach it, then its position in its level
+        slot = np.full(len(sources) * n, _INT64_MAX, dtype=np.int64)
+        slot[nodes] = 0
+        while True:
+            if int(sigma.max(initial=0)) > limit:
+                return None
+            v = nodes % n
+            counts = degree.take(v)
+            total = int(counts.sum())
+            # every (frontier node, neighbour) pair, frontier-major, neighbours
+            # ascending: the order in which the Python BFS meets them
+            parent = np.repeat(np.arange(nodes.size), counts)
+            ends = np.cumsum(counts)
+            edge = np.arange(total) + np.repeat(indptr.take(v) - ends + counts, counts)
+            key = np.repeat(nodes - v, counts) + indices.take(edge)
+            fresh = np.flatnonzero(slot.take(key) == _INT64_MAX)
+            if not fresh.size:
+                break
+            key, parent = key.take(fresh), parent.take(fresh)
+            seen = np.arange(key.size)
+            np.minimum.at(slot, key, seen)
+            # each key at its first candidate edge: first-discovery order
+            nodes = key.take(np.flatnonzero(slot.take(key) == seen))
+            slot[nodes] = np.arange(nodes.size)
+            child = slot.take(key)
+            # group the edges by child: numpy radix-sorts 16-bit keys
+            by_child = np.argsort(child.astype(np.min_scalar_type(nodes.size)),
+                                  kind="stable")
+            child, parent = child.take(by_child), parent.take(by_child)
+            fan_in = np.bincount(child, minlength=nodes.size)
+            sigma = np.add.reduceat(sigma.take(parent), np.cumsum(fan_in) - fan_in)
+            levels.append(BFSLevel(nodes, sigma, child, parent))
+        self._store(sources, levels)
+        return levels
+
+    def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
+        """Cache each uncached source's ShortestPathData from ``levels``.  The
+        tuples share one int object per node id and, within the batch, one
+        per distinct path count."""
+        ids = self._ids
+        n = ids.size
+        keys = np.concatenate([level.nodes for level in levels])
+        dist = np.full(len(sources) * n, UNREACHABLE, dtype=np.int64)
+        dist[keys] = np.repeat(np.arange(len(levels)),
+                               [level.nodes.size for level in levels])
+        values, index = np.unique(np.concatenate([level.sigma for level in levels]),
+                                  return_inverse=True)
+        sigma = np.full(len(sources) * n, 0, dtype=object)
+        sigma[keys] = np.array(values.tolist(), dtype=object)[index]
+        # group the keys by source, keeping each source's BFS order
+        batch = keys // n
+        by_source = np.argsort(batch.astype(np.min_scalar_type(len(sources))),
+                               kind="stable")  # a radix sort
+        order = ids.take(keys.take(by_source) % n)
+        ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
+        start = 0
+        for b, (s, end) in enumerate(zip(sources, ends)):
+            if s not in self._sp:
+                row = slice(b * n, (b + 1) * n)
+                self._sp[s] = ShortestPathData(dist=tuple(dist[row].tolist()),
+                                               sigma=tuple(sigma[row].tolist()),
+                                               order=tuple(order[start:end].tolist()))
+            start = end
 
     def paths_from(self, source: int) -> ShortestPathData:
         sp = self._sp.get(source)

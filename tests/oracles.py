@@ -2,12 +2,16 @@
 
 Everything here recomputes from first principles (plain-dict BFS, explicit
 path enumeration, hop-by-hop routing) and deliberately shares no code with the
-package.
+package, except ``per_source_betweenness``: the package's own per-source pass,
+kept as the bit-exact reference for the batched one.
 """
 from __future__ import annotations
 
 import random
 from collections import OrderedDict, deque
+
+from fogcache.centrality import _accumulate
+from fogcache.graph import bfs_shortest_paths
 
 
 def adjacency_sets(topology):
@@ -66,6 +70,18 @@ def naive_betweenness(topology):
                 through = sum(1 for p in paths if v in p[1:-1])
                 raw[v] += through / len(paths)
     return raw
+
+
+def per_source_betweenness(topology):
+    """Betweenness as one Python BFS and one ``_accumulate`` pass per source,
+    in source order: the float additions the batched pass must reproduce bit
+    for bit."""
+    n = topology.node_count
+    raw = [0.0] * n
+    unit = [1.0] * n
+    for s in range(n):
+        _accumulate(raw, topology, bfs_shortest_paths(topology, s), unit)
+    return tuple(x / 2.0 for x in raw)
 
 
 def naive_cbc(topology, consumers, placement, catalog_size):

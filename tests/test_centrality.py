@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,11 @@ from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
                                  concretize_classes, degree_centrality,
                                  eigenvector_centrality, normalize_minmax)
 from fogcache import graph
-from fogcache.graph import PathCache, from_edges, load_topology
+from fogcache.experiment import default_topologies
+from fogcache.graph import (PathCache, bfs_shortest_paths, from_edges,
+                            load_topology)
 from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
-                     plain_bfs_dist, random_edge_set)
+                     per_source_betweenness, plain_bfs_dist, random_edge_set)
 
 STAR5 = "0 1\n0 2\n0 3\n0 4"
 PATH3 = "0 1\n1 2"
@@ -22,6 +25,32 @@ def random_topology(seed, max_nodes=8):
     rng = random.Random(seed)
     n = rng.randint(2, max_nodes)
     return from_edges(random_edge_set(rng, n), nodes=range(n))
+
+
+def diamond_chain(k):
+    """``k`` diamonds in a row: hubs 3i, middles 3i + 1 and 3i + 2, so hub 0
+    reaches hub 3k, the origin, over 2^k shortest paths."""
+    edges = []
+    for h in range(0, 3 * k, 3):
+        edges += [(h, h + 1), (h, h + 2), (h + 1, h + 3), (h + 2, h + 3)]
+    return from_edges(edges, origin_spec=3 * k)
+
+
+def assert_batched_betweenness(topo, precached=()):
+    """Betweenness equals the per-source pass bit for bit, leaves every
+    source's BFS in the cache equal to ``bfs_shortest_paths`` (exact Python
+    ints), and keeps the entries cached before it."""
+    cache = PathCache(topo)
+    before = {s: cache.paths_from(s) for s in precached}
+    assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
+    # every source is cached now: a lookup that ran a BFS would raise
+    with mock.patch.object(graph, "bfs_shortest_paths", side_effect=AssertionError):
+        cached = [cache.paths_from(s) for s in range(topo.node_count)]
+    for s, sp in enumerate(cached):
+        assert sp == bfs_shortest_paths(topo, s)
+        assert all(type(x) is int for x in (*sp.dist, *sp.sigma, *sp.order))
+    assert all(cached[s] is sp for s, sp in before.items())
+    return cache
 
 
 class TestClassicCentralities:
@@ -81,6 +110,38 @@ class TestClassicCentralities:
         fast = betweenness_centrality(topo).raw
         slow = naive_betweenness(topo)
         assert all(abs(a - b) < 1e-9 for a, b in zip(fast, slow))
+
+
+class TestBatchedBetweenness:
+    def test_path_counts_beyond_int64(self):
+        topo = diamond_chain(70)  # 2^70 paths end to end
+        # the first batch's path counts outgrow int64, so it takes Python
+        # ints; a middle batch stays within int64 and takes the batched BFS
+        assert PathCache(topo).bfs_levels(range(32)) is None
+        assert PathCache(topo).bfs_levels(range(96, 128)) is not None
+        cache = assert_batched_betweenness(topo)
+        assert cache.paths_from(0).sigma[210] == 2 ** 70
+
+    def test_diamond_chain_matches_naive(self):
+        topo = diamond_chain(3)
+        assert betweenness_centrality(topo).raw == pytest.approx(
+            naive_betweenness(topo), abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_matches_per_source_pass(self, seed):
+        # up to 80 nodes (three batches), sparse enough to split into
+        # components and leave nodes isolated
+        rng = random.Random(seed)
+        n = rng.randint(1, 80)
+        topo = from_edges(random_edge_set(rng, n, rng.choice([0.01, 0.04, 0.1, 0.3])),
+                          nodes=range(n))
+        assert_batched_betweenness(topo, rng.sample(range(n), rng.randint(0, n)))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_default_topologies_match_per_source_pass(self, index):
+        _, topo = default_topologies()[index]
+        assert_batched_betweenness(topo, range(0, topo.node_count, 7))
 
 
 class TestEigenvector:
@@ -285,12 +346,8 @@ class TestCbcReplication:
             cbc_replication(topo, [bad, 0], policy, [1])
 
     def test_path_counts_beyond_float_precision(self):
-        # 60 diamonds in a row: hubs 3i, middles 3i+1 and 3i+2, so the
-        # consumer 0 reaches the origin 180 over 2^60 shortest paths
-        edges = []
-        for h in range(0, 180, 3):
-            edges += [(h, h + 1), (h, h + 2), (h + 1, h + 3), (h + 2, h + 3)]
-        topo = from_edges(edges, origin_spec=180)
+        # the consumer 0 reaches the origin 180 over 2^60 shortest paths
+        topo = diamond_chain(60)
         assert PathCache(topo).paths_from(0).sigma[180] == 2 ** 60
         expected = tuple(0.0 if v in (0, 180) else 3.0 if v % 3 == 0 else 1.5
                          for v in range(181))

@@ -129,6 +129,17 @@ class TestAnalysisCommands:
         assert rows[scheme][1] == scheme
         assert rows[scheme][2:] == rows["no_fog"][2:]
 
+    @pytest.mark.parametrize("command,flag,name", [
+        ("simulate", "--scheme", "cbc"), ("place", "--scheme", "cbc"),
+        ("centrality", "--kind", "degree")])
+    def test_negative_repetition_rejected(self, command, flag, name,
+                                          line4_file, capsys):
+        assert main([command, flag, name, "--topology", str(line4_file),
+                     "--repetition", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repetition must be >= 0, got -1" in captured.err
+
 
 class TestExperimentCommand:
     def test_small_experiment_writes_reports(self, line_file, tmp_path, capsys):

@@ -144,6 +144,11 @@ class TestBfsShortestPaths:
         with pytest.raises(ValueError, match="source"):
             bfs_shortest_paths(topo, 5)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_invalid_batch_source(self, bad):
+        with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+            PathCache(load_topology("0 1")).bfs_levels([0, bad])
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
     def test_sigma_matches_enumeration(self, topo):

@@ -1,13 +1,16 @@
 """Static checks on the package source that need no installed linter."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import fogcache
 
-MODULES = sorted(p for p in Path(fogcache.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(fogcache.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,3 +100,39 @@ def test_detects_unused_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def undeclared_imports(source: str, dependencies) -> list[str]:
+    """Top-level names of the absolute imports that are neither standard
+    library, ``fogcache`` nor one of ``dependencies``."""
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.append(node.module.split(".")[0])
+    allowed = {*sys.stdlib_module_names, "fogcache", *dependencies}
+    return [name for name in imported if name not in allowed]
+
+
+def runtime_dependencies() -> list[str]:
+    """Distribution names of ``[project] dependencies`` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    return [re.match(r"[A-Za-z0-9_.-]+", dep).group()
+            for dep in project["dependencies"]]
+
+
+def test_detects_undeclared_import():
+    source = ("from __future__ import annotations\nimport os, scipy.sparse\n"
+              "from networkx import Graph\nfrom . import graph\n"
+              "from fogcache.graph import Topology\nimport numpy as np\n"
+              "import hypothesis.strategies\n")
+    assert undeclared_imports(source, ["numpy"]) == ["scipy", "networkx",
+                                                      "hypothesis"]
+
+
+# scipy, networkx and hypothesis are test-only: the package may not import them
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_declared(path):
+    assert undeclared_imports(path.read_text(), runtime_dependencies()) == []
