@@ -62,6 +62,8 @@ def from_edges(edges, nodes=None, origin_spec="auto"):
     original id).
     """
     node_set = set(nodes) if nodes else set()
+    if node_set and min(node_set) < 0:
+        raise ValueError(f"negative node id in nodes ({min(node_set)})")
     edge_set = set()
     for a, b in edges:
         if a == b:

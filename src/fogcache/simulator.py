@@ -89,12 +89,16 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
                    path_cache: PathCache | None = None) -> SimMetrics:
     """Route the workload and accumulate counters.
 
-    Static caches make an interest's outcome depend only on its (consumer,
-    item) pair, so each distinct pair is routed once, weighted by its count.
-    With ``lru_enabled`` (social-unaware baseline) interests go in order:
-    every provider on the return path of an origin-served interest inserts
-    the item, evicting its least-recently-used entry at capacity, and cache
-    hits refresh recency."""
+    One routing loop picks each interest's server.  Static caches make an
+    interest's outcome depend only on its (consumer, item) pair, so each
+    distinct pair is routed once, weighted by its count.  With
+    ``lru_enabled`` (social-unaware baseline) interests go in order: every
+    provider on the return path of an origin-served interest inserts the
+    item, evicting its least-recently-used entry at capacity, and cache hits
+    refresh recency.  A route's hops never change within a run, so the
+    providers of each origin-served (consumer, server) route are memoized,
+    and forward counts are added after the loop, one walk per distinct
+    route."""
     n = topology.node_count
     cache = path_cache or PathCache(topology)
     consumer_set = set(roles.consumers)
@@ -103,13 +107,18 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
     served_counts: Counter[str] = Counter()
     responses = [0] * n
     forwards = [0] * n
+    # interests routed per (consumer, server); a plain dict, as a Counter's
+    # __missing__ on every new route is measurably slower
+    route_counts: dict[tuple[int, int], int] = {}
     if lru_enabled:
         provider_set = set(roles.providers)
         capacity = assignment.buffer_items
         # per-provider recency state, least-recent first; seed it with the
         # placed contents so the least popular item is evicted first
-        lru = {v: OrderedDict.fromkeys(reversed(assignment.items_at(v)))
-               for v in assignment.nodes()}
+        lru = {v: OrderedDict() for v in provider_set}
+        lru.update((v, OrderedDict.fromkeys(reversed(assignment.items_at(v))))
+                   for v in assignment.nodes())
+        route_providers: dict[tuple[int, int], tuple[int, ...]] = {}
         interests = zip(workload.draws, repeat(1))
     else:
         interests = Counter(workload.draws).items()
@@ -127,21 +136,38 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
                 lru[server].move_to_end(item)
         elif served != "origin":
             continue
-        # walk the hops strictly between consumer and server on the server's
-        # next-hop tree; each is strictly nearer the consumer than the
-        # nearest holder, so none of them holds the item
-        inserting = lru_enabled and served == "origin"
+        route = (c, server)
+        route_counts[route] = route_counts.get(route, 0) + count
+        if not (lru_enabled and served == "origin"):
+            continue
+        # every hop is strictly nearer the consumer than the nearest holder,
+        # so none of them holds the item and the insertion order across the
+        # route's providers does not matter
+        on_route = route_providers.get(route)
+        if on_route is None:
+            hops = cache.next_hops(server)
+            on_route, v = [], hops[c]
+            while v != server:
+                if v in provider_set:
+                    on_route.append(v)
+                v = hops[v]
+            on_route = route_providers[route] = tuple(on_route)
+        item_holders = holders.setdefault(item, set())
+        for v in on_route:
+            state = lru[v]
+            state[item] = None
+            item_holders.add(v)
+            if len(state) > capacity:
+                evicted, _ = state.popitem(last=False)
+                holders[evicted].discard(v)
+
+    # every hop strictly between consumer and server on the server's
+    # next-hop tree forwards the route's interests
+    for (c, server), count in route_counts.items():
         hops = cache.next_hops(server)
         v = hops[c]
         while v != server:
             forwards[v] += count
-            if inserting and v in provider_set:
-                state = lru.setdefault(v, OrderedDict())
-                state[item] = None
-                holders.setdefault(item, set()).add(v)
-                if len(state) > capacity:
-                    evicted, _ = state.popitem(last=False)
-                    holders[evicted].discard(v)
             v = hops[v]
 
     # a node receives every interest it forwards or serves

@@ -14,11 +14,12 @@ from fogcache.catalog import generate_interests, zipf_catalog, zipf_popularity
 from fogcache.centrality import (ReplicationPolicy, betweenness_centrality,
                                  cbc_exact, cbc_replication,
                                  concretize_classes)
-from fogcache.experiment import (default_plan, mean_metric, run_experiment,
-                                 table_to_csv)
+from fogcache.experiment import (ExperimentPlan, default_plan, mean_metric,
+                                 run_experiment, table_to_csv)
 from fogcache.graph import from_edges
 from fogcache.placement import fog_distinct_items, place_fog
 from fogcache.simulator import assign_roles, run_simulation
+from fogcache.synthetic import generate_synthetic_topology
 from oracles import naive_betweenness, naive_cbc, random_edge_set
 
 TOPOLOGY_LABELS = ("topology1", "topology2", "topology3")
@@ -237,6 +238,19 @@ def test_default_experiment_bytes_pinned(default_results):
     _, table, _ = default_results
     digest = hashlib.sha256(table_to_csv(table).encode()).hexdigest()
     assert digest.startswith("54d7fd840f4b")
+
+
+def test_lru_experiment_bytes_pinned():
+    # the default plan's LRU cells draw only 2 000 interests each; this plan
+    # puts most of its time into LRU churn so its bytes pin that path too
+    topology = generate_synthetic_topology("geometric", 200, 0.11, 6)
+    plan = ExperimentPlan(topologies=(("geometric-n200", topology),),
+                          schemes=("lru_social_unaware", "no_fog"),
+                          alphas=(0.5,), repetitions=2,
+                          interests_per_run=20_000, buffer_items=5,
+                          catalog_size=500)
+    digest = hashlib.sha256(table_to_csv(run_experiment(plan)).encode()).hexdigest()
+    assert digest.startswith("61e946c175ce")
 
 
 def test_criterion_9_conservation_including_disconnection(capsys):

@@ -47,6 +47,12 @@ class TestLoadTopology:
         with pytest.raises(ValueError, match="self-loop"):
             load_topology("0 0")
 
+    def test_negative_node_id_rejected(self):
+        with pytest.raises(ValueError, match=r"negative node id in edge \(-1, 2\)"):
+            from_edges([(-1, 2)])
+        with pytest.raises(ValueError, match=r"negative node id in nodes \(-5\)"):
+            from_edges([(0, 1)], nodes=[-5])
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
             load_topology("0 x")

@@ -36,10 +36,13 @@ def workload_of(draws):
 
 
 @st.composite
-def simulation_cases(draw):
+def simulation_cases(draw, churn=False):
     """Small random snapshots, roles, placements and draws.  ``split`` cuts
     the graph in two with the origin on the far side of one consumer;
-    ``on_consumer`` and ``at_origin`` place an extra cache there."""
+    ``on_consumer`` and ``at_origin`` place an extra cache there.  ``churn``
+    draws long workloads over at most three items and one- or two-item
+    caches, so each (consumer, server) route recurs while the contents of
+    its providers change."""
     n = draw(st.integers(min_value=3, max_value=9))
     rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
     split = draw(st.booleans())
@@ -56,8 +59,8 @@ def simulation_cases(draw):
     consumers = sorted({0, *others[:rng.randrange(len(others) + 1)]})
     providers = sorted(v for v in range(n)
                        if v not in consumers and v != origin and rng.random() < 0.7)
-    catalog_size = rng.randint(1, 6)
-    capacity = rng.randint(1, 3)
+    catalog_size = rng.randint(1, 3 if churn else 6)
+    capacity = rng.randint(1, 2 if churn else 3)
     caches = {v: tuple(sorted(rng.sample(range(catalog_size),
                                          rng.randint(0, min(capacity, catalog_size)))))
               for v in providers}
@@ -66,7 +69,7 @@ def simulation_cases(draw):
     if at_origin:
         caches[origin] = (rng.randrange(catalog_size),)
     draws = [(rng.choice(consumers), rng.randrange(catalog_size))
-             for _ in range(rng.randint(0, 40))]
+             for _ in range(rng.randint(*((60, 300) if churn else (0, 40))))]
     return topology, caches, consumers, providers, capacity, draws
 
 
@@ -261,6 +264,16 @@ class TestRunSimulation:
     @settings(max_examples=150, deadline=None)
     @given(case=simulation_cases())
     def test_matches_naive_oracle(self, lru, case):
+        self.check_against_oracle(lru, case)
+
+    @pytest.mark.parametrize("lru", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(case=simulation_cases(churn=True))
+    def test_matches_naive_oracle_under_churn(self, lru, case):
+        self.check_against_oracle(lru, case)
+
+    @staticmethod
+    def check_against_oracle(lru, case):
         topology, caches, consumers, providers, capacity, draws = case
         metrics = run_simulation(topology, static_assignment(caches, capacity),
                                  roles_of(consumers, providers),
