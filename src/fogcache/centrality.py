@@ -88,8 +88,8 @@ def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -
     scores are bit-identical to the per-source pass: a level's predecessor
     edges are summed by ``np.bincount`` in descending child position (the
     reverse BFS order ``_accumulate`` walks), and each source's dependencies
-    are added to ``raw`` in source order.  A batch whose path counts could
-    overflow int64 takes the per-source pass over Python ints instead.
+    are added to ``raw`` in source order.  Past int64, σ and its products are
+    Python ints and floats, as in ``_accumulate``.
     """
     n = topology.node_count
     cache = cache or PathCache(topology)
@@ -97,19 +97,15 @@ def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -
     for start in range(0, n, _BATCH):
         sources = range(start, min(start + _BATCH, n))
         levels = cache.bfs_levels(sources)
-        if levels is None:
-            unit = [1.0] * n
-            for s in sources:
-                _accumulate(raw, topology, cache.paths_from(s), unit)
-            continue
         deltas = np.zeros(len(sources) * n)
         delta = np.zeros(levels[-1].nodes.size)
         for level, upper in zip(levels[:0:-1], levels[-2::-1]):
             deltas[level.nodes] = delta
             coeff = (1.0 + delta) / level.sigma
             child, parent = level.child[::-1], level.parent[::-1]
-            delta = np.bincount(parent, weights=upper.sigma[parent] * coeff[child],
-                                minlength=upper.nodes.size)
+            # bincount takes no object weights; a no-op cast on float64
+            weights = np.asarray(upper.sigma[parent] * coeff[child], dtype=float)
+            delta = np.bincount(parent, weights=weights, minlength=upper.nodes.size)
         for row in deltas.reshape(len(sources), n):
             raw += row
     # each unordered pair was accumulated from both endpoints

@@ -28,9 +28,10 @@ from .synthetic import generate_synthetic_topology
 RANKED = ("cbc", "degree", "closeness", "betweenness", "eigenvector")
 SCHEMES = RANKED + ("lru_social_unaware", "no_fog")
 
-CSV_COLUMNS = ("topology", "scheme", "alpha", "repetition", "seed",
-               "hit_rate", "success_rate", "generated", "cache_satisfied",
-               "origin_satisfied", "unsatisfied", "pooled_hit_rate")
+# the measured columns, which the aggregate rows summarize over repetitions
+_METRICS = ("hit_rate", "success_rate", "generated", "cache_satisfied",
+            "origin_satisfied", "unsatisfied", "pooled_hit_rate")
+CSV_COLUMNS = ("topology", "scheme", "alpha", "repetition", "seed", *_METRICS)
 
 
 def _listed(cast):
@@ -66,10 +67,10 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.topologies:
-            raise ValueError("plan needs at least one topology")
-        if not self.schemes:
-            raise ValueError("plan needs at least one scheme")
+        for name, values in (("topology", self.topologies),
+                             ("scheme", self.schemes), ("alpha", self.alphas)):
+            if not values:
+                raise ValueError(f"plan needs at least one {name}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -231,10 +232,6 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     return rows
 
 
-_NUMERIC = ("hit_rate", "success_rate", "generated", "cache_satisfied",
-            "origin_satisfied", "unsatisfied", "pooled_hit_rate")
-
-
 def run_experiment(plan: ExperimentPlan) -> ResultTable:
     """Run every (topology, scheme, alpha, repetition) cell and aggregate.
 
@@ -263,7 +260,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
                     aggregates.append({
                         "topology": label, "scheme": scheme, "alpha": alpha,
                         "repetition": stat, "seed": "",
-                        **{k: fn([r[k] for r in members]) for k in _NUMERIC}})
+                        **{k: fn([r[k] for r in members]) for k in _METRICS}})
     return ResultTable(rows=rows, aggregates=aggregates)
 
 
@@ -393,6 +390,8 @@ def plan_from_config(config: dict, base_dir=".") -> tuple[ExperimentPlan, str]:
     paths = config.get("topologies") or []
     if isinstance(paths, str):
         paths = [item.strip() for item in paths.split(",")]
+    if not all(str(path).strip() for path in paths):
+        raise ValueError("config key 'topologies': empty path")
     # a file is labelled by its stem, or by its path as given when the
     # stem is shared with another file of the plan
     stems = [Path(path).stem for path in paths]

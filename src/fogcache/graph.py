@@ -141,10 +141,10 @@ class BFSLevel(NamedTuple):
 
     ``nodes`` holds the level's nodes as batch keys ``b * n + v`` (b the
     source's index in the batch), each source's in first-discovery order, so
-    they follow the order of :func:`bfs_shortest_paths`; ``sigma`` their int64
-    path counts.  Each predecessor edge into the level links ``nodes[child]``
-    to ``nodes[parent]`` of the level before, and the edges are sorted by
-    ``child``.
+    they follow the order of :func:`bfs_shortest_paths`; ``sigma`` their path
+    counts (int64, or Python ints once they could pass 2^63 - 1).  Each
+    predecessor edge into the level links ``nodes[child]`` to ``nodes[parent]``
+    of the level before, and the edges are sorted by ``child``.
     """
 
     nodes: np.ndarray
@@ -251,14 +251,13 @@ class PathCache:
                                     count=self._indptr[-1])
         self._ids = np.arange(len(adjacency)).astype(object)
 
-    def bfs_levels(self, sources) -> list[BFSLevel] | None:
+    def bfs_levels(self, sources) -> list[BFSLevel]:
         """Level-synchronous BFS from every node of ``sources`` at once over a
-        CSR copy of the adjacency (Kepner & Gilbert 2011), with exact int64
-        path counts.  Caches each source's :class:`ShortestPathData`, equal
+        CSR copy of the adjacency (Kepner & Gilbert 2011), with exact path
+        counts: int64 while they fit, Python ints once a level's counts could
+        pass 2^63 - 1.  Caches each source's :class:`ShortestPathData`, equal
         to :func:`bfs_shortest_paths` (an entry already cached is kept), and
-        returns the levels, the sources first.  Returns None and caches
-        nothing when a path count could pass 2^63 - 1: those sources need
-        Python ints (:meth:`paths_from`)."""
+        returns the levels, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
         degree = np.diff(indptr)
@@ -277,8 +276,8 @@ class PathCache:
         slot = np.full(len(sources) * n, _INT64_MAX, dtype=np.int64)
         slot[nodes] = 0
         while True:
-            if int(sigma.max(initial=0)) > limit:
-                return None
+            if sigma.dtype != object and int(sigma.max(initial=0)) > limit:
+                sigma = sigma.astype(object)  # exact from here on
             v = nodes % n
             counts = degree.take(v)
             total = int(counts.sum())

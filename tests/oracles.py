@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles (plain-dict BFS, explicit
 path enumeration, hop-by-hop routing) and deliberately shares no code with the
-package, except ``per_source_betweenness``: the package's own per-source pass,
-kept as the bit-exact reference for the batched one.
+package, except ``per_source_betweenness``: one Python BFS and one
+``_accumulate`` pass per source.  The package no longer runs that pass for
+betweenness; it is kept as the bit-exact reference for the batched one.
 """
 from __future__ import annotations
 

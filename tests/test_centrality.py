@@ -1,11 +1,13 @@
 import math
 import random
+from itertools import count
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
+from fogcache.centrality import (_BATCH, PowerIterationError, ReplicationPolicy,
                                  betweenness_centrality, cbc_exact,
                                  cbc_replication, closeness_centrality,
                                  concretize_classes, degree_centrality,
@@ -34,6 +36,21 @@ def diamond_chain(k):
     for h in range(0, 3 * k, 3):
         edges += [(h, h + 1), (h, h + 2), (h + 1, h + 3), (h + 2, h + 3)]
     return from_edges(edges, origin_spec=3 * k)
+
+
+def branching_chain(seed):
+    """A chain of 62-75 diamonds, some with a third middle node, and pendant
+    nodes on some hubs and middles: path counts from the sources near either
+    end pass 2^63, those from the sources in the middle stay far below."""
+    rng = random.Random(seed)
+    edges, hub, fresh = [], 0, count(1)
+    for _ in range(rng.randint(62, 75)):
+        middles = [next(fresh) for _ in range(rng.choice((2, 2, 3)))]
+        end = next(fresh)
+        edges += [(m, h) for m in middles for h in (hub, end)]
+        edges += [(v, next(fresh)) for v in (hub, *middles) if rng.random() < 0.2]
+        hub = end
+    return from_edges(edges, origin_spec=hub)
 
 
 def assert_batched_betweenness(topo, precached=()):
@@ -115,12 +132,38 @@ class TestClassicCentralities:
 class TestBatchedBetweenness:
     def test_path_counts_beyond_int64(self):
         topo = diamond_chain(70)  # 2^70 paths end to end
-        # the first batch's path counts outgrow int64, so it takes Python
-        # ints; a middle batch stays within int64 and takes the batched BFS
-        assert PathCache(topo).bfs_levels(range(32)) is None
-        assert PathCache(topo).bfs_levels(range(96, 128)) is not None
+        # the first batch's path counts outgrow int64 and go on as Python
+        # ints; a middle batch's stay int64 to the end
+        deepest = PathCache(topo).bfs_levels(range(32))[-1]
+        assert deepest.nodes.tolist() == [210]
+        assert deepest.sigma.dtype == object and deepest.sigma.tolist() == [2 ** 70]
+        assert type(deepest.sigma[0]) is int
+        assert all(level.sigma.dtype == np.int64
+                   for level in PathCache(topo).bfs_levels(range(96, 128)))
         cache = assert_batched_betweenness(topo)
         assert cache.paths_from(0).sigma[210] == 2 ** 70
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_branching_chains_past_int64(self, seed):
+        topo = branching_chain(seed)
+        n = topo.node_count
+        batches = [range(s, min(s + _BATCH, n)) for s in range(0, n, _BATCH)]
+        # some batches go on in Python ints, others stay int64 to the end
+        assert {any(level.sigma.dtype == object
+                    for level in PathCache(topo).bfs_levels(batch))
+                for batch in batches} == {True, False}
+        cache = assert_batched_betweenness(topo, random.Random(seed).sample(range(n), 9))
+        assert max(cache.paths_from(0).sigma) > 2 ** 63
+
+    def test_cbc_reads_betweenness_cache_past_int64(self):
+        topo = diamond_chain(70)
+        filled = PathCache(topo)
+        betweenness_centrality(topo, filled)
+        policy = ReplicationPolicy(alpha=0.5, buffer_items=2, catalog_size=20)
+        args = (topo, range(0, 211, 5), policy, [1, 64, 122, 200])
+        scores = cbc_replication(*args, filled)
+        assert scores == cbc_replication(*args, PathCache(topo))
+        assert max(scores.raw) > 0
 
     def test_diamond_chain_matches_naive(self):
         topo = diamond_chain(3)

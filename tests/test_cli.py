@@ -287,6 +287,24 @@ class TestExperimentCommand:
         assert main(plan + ["--output-dir", "plain"]) == 0
         assert self.labels(tmp_path / "plain") == {"a_b/t.txt", "a/b/t.txt"}
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate"])
+    def test_empty_topology_flag_is_config_error(self, command, tmp_path,
+                                                 capsys, monkeypatch):
+        # an empty path would name the working directory: a config error,
+        # not a runtime one
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--topology", ""]) == 1
+        assert "config key 'topologies': empty path" in capsys.readouterr().err
+
+    def test_empty_topology_in_config_is_config_error(self, line_file, tmp_path,
+                                                      capsys):
+        config = tmp_path / "plan.cfg"
+        config.write_text(f"topologies = {line_file.name},\nrepetitions = 1\n"
+                          f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["experiment", "--config", str(config)]) == 1
+        assert "config key 'topologies': empty path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",

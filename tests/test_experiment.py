@@ -326,11 +326,15 @@ class TestRunExperiment:
         wider_rows = [r for r in wider.rows if r["scheme"] == "cbc"]
         assert base_rows == wider_rows
 
+    @pytest.mark.parametrize("field,name", [("topologies", "topology"),
+                                            ("schemes", "scheme"),
+                                            ("alphas", "alpha")])
+    def test_empty_plan_axis_rejected(self, field, name):
+        # an empty alpha list would write a header-only results.csv
+        with pytest.raises(ValueError, match=f"plan needs at least one {name}$"):
+            tiny_plan(**{field: ()})
+
     def test_invalid_plans_rejected(self):
-        with pytest.raises(ValueError, match="topology"):
-            tiny_plan(topologies=())
-        with pytest.raises(ValueError, match="scheme"):
-            tiny_plan(schemes=())
         with pytest.raises(ValueError, match="unknown schemes"):
             tiny_plan(schemes=("cbc", "mystery"))
         with pytest.raises(ValueError, match="repetitions"):
