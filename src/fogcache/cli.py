@@ -89,6 +89,8 @@ def _run(args) -> int:
                                                args.density, args.seed)
             _write(serialize_topology(topo), args.output)
         else:
+            if not args.file:  # an empty path would name the working directory
+                raise ValueError("topology validate: empty path")
             topo = load_topology(Path(args.file).read_text())
             components = connected_components(topo)
             print(f"nodes={topo.node_count} edges={topo.edge_count} "
@@ -127,6 +129,8 @@ def _run(args) -> int:
         return 0
 
     # experiment / sweep-alpha
+    if args.config == "":
+        raise ValueError("--config: empty path")
     config = exp.parse_config(Path(args.config).read_text()) if args.config else {}
     config.update(_overrides(args))
     # a config file's topologies are relative to it, flag paths to the

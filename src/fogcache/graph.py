@@ -233,16 +233,20 @@ class PathCache:
     """Memoized per-source BFS results (distances, path counts and visitation
     order) and per-target next-hop arrays for one immutable topology.
 
-    Betweenness fills the per-source results in bulk, batch by batch, through
-    :meth:`bfs_levels`; every other caller fills them lazily, one source at a
-    time, through :meth:`paths_from`.  Routing and centrality passes reuse BFS
-    output across runs; memoization is append-only so concurrent readers under
-    the GIL are safe.
+    Betweenness leaves every source's BFS in bulk, batch by batch, through
+    :meth:`bfs_levels`, as compact numpy rows; :meth:`paths_from` builds a
+    source's tuples on its first read, from its row or else from a BFS of its
+    own.  Routing and centrality passes reuse BFS output across runs.  A
+    built entry is never replaced, and a row leaves the cache by one atomic
+    ``dict.pop``, so concurrent readers under the GIL are safe: two racing on
+    one source get equal entries.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self._sp: dict[int, ShortestPathData] = {}
+        # betweenness's per-source rows (see _store), until first read
+        self._rows: dict[int, tuple[np.ndarray, ...]] = {}
         self._hops: dict[int, array] = {}
         # CSR copy of the adjacency for batched BFS, and one int per node id
         adjacency = topology.adjacency
@@ -255,8 +259,9 @@ class PathCache:
         """Level-synchronous BFS from every node of ``sources`` at once over a
         CSR copy of the adjacency (Kepner & Gilbert 2011), with exact path
         counts: int64 while they fit, Python ints once a level's counts could
-        pass 2^63 - 1.  Caches each source's :class:`ShortestPathData`, equal
-        to :func:`bfs_shortest_paths` (an entry already cached is kept), and
+        pass 2^63 - 1.  Caches each source's rows, from which
+        :meth:`paths_from` builds a :class:`ShortestPathData` equal to
+        :func:`bfs_shortest_paths` (an entry already built is kept), and
         returns the levels, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
@@ -308,38 +313,49 @@ class PathCache:
         return levels
 
     def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
-        """Cache each uncached source's ShortestPathData from ``levels``.  The
-        tuples share one int object per node id and, within the batch, one
-        per distinct path count."""
-        ids = self._ids
-        n = ids.size
+        """Keep each uncached source's BFS from ``levels`` as compact numpy
+        rows for :meth:`paths_from` to build its tuples from: ``dist`` in the
+        narrowest signed dtype for the level count, the BFS ``order`` in the
+        narrowest dtype for n, and σ as an index row into the batch's object
+        array of distinct path counts.  So the tuples share one int object per
+        node id and, within the batch, one per distinct path count."""
+        n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
-        dist = np.full(len(sources) * n, UNREACHABLE, dtype=np.int64)
+        dist = np.full(len(sources) * n, UNREACHABLE,
+                       dtype=np.min_scalar_type(-len(levels)))
         dist[keys] = np.repeat(np.arange(len(levels)),
                                [level.nodes.size for level in levels])
-        values, index = np.unique(np.concatenate([level.sigma for level in levels]),
+        # a leading 0 gives the unreached nodes index 0
+        values, index = np.unique(np.concatenate([[0], *(level.sigma for level in levels)]),
                                   return_inverse=True)
-        sigma = np.full(len(sources) * n, 0, dtype=object)
-        sigma[keys] = np.array(values.tolist(), dtype=object)[index]
+        sigma = np.zeros(len(sources) * n, dtype=np.min_scalar_type(values.size))
+        sigma[keys] = index[1:]
+        values = np.array(values.tolist(), dtype=object)
         # group the keys by source, keeping each source's BFS order
         batch = keys // n
         by_source = np.argsort(batch.astype(np.min_scalar_type(len(sources))),
                                kind="stable")  # a radix sort
-        order = ids.take(keys.take(by_source) % n)
+        order = (keys.take(by_source) % n).astype(np.min_scalar_type(n))
         ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
         start = 0
         for b, (s, end) in enumerate(zip(sources, ends)):
             if s not in self._sp:
                 row = slice(b * n, (b + 1) * n)
-                self._sp[s] = ShortestPathData(dist=tuple(dist[row].tolist()),
-                                               sigma=tuple(sigma[row].tolist()),
-                                               order=tuple(order[start:end].tolist()))
+                self._rows[s] = (dist[row], values, sigma[row], order[start:end])
             start = end
 
     def paths_from(self, source: int) -> ShortestPathData:
+        """The memoized BFS of ``source``, built on first read."""
         sp = self._sp.get(source)
         if sp is None:
-            sp = bfs_shortest_paths(self.topology, source)
+            row = self._rows.pop(source, None)
+            if row is None:
+                sp = bfs_shortest_paths(self.topology, source)
+            else:
+                dist, values, sigma, order = row
+                sp = ShortestPathData(dist=tuple(dist.tolist()),
+                                      sigma=tuple(values.take(sigma).tolist()),
+                                      order=tuple(self._ids.take(order).tolist()))
             self._sp[source] = sp
         return sp
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import tracemalloc
 from itertools import count
 from unittest import mock
 
@@ -14,8 +16,8 @@ from fogcache.centrality import (_BATCH, PowerIterationError, ReplicationPolicy,
                                  eigenvector_centrality, normalize_minmax)
 from fogcache import graph
 from fogcache.experiment import default_topologies
-from fogcache.graph import (PathCache, bfs_shortest_paths, from_edges,
-                            load_topology)
+from fogcache.graph import (UNREACHABLE, PathCache, ShortestPathData,
+                            bfs_shortest_paths, from_edges, load_topology)
 from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
                      per_source_betweenness, plain_bfs_dist, random_edge_set)
 
@@ -60,6 +62,11 @@ def assert_batched_betweenness(topo, precached=()):
     cache = PathCache(topo)
     before = {s: cache.paths_from(s) for s in precached}
     assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
+    # the uncached sources wait as compact rows
+    assert cache._rows.keys() == set(range(topo.node_count)) - before.keys()
+    for dist, _, sigma, order in cache._rows.values():
+        assert dist.dtype in (np.int8, np.int16) and sigma.dtype.kind == "u"
+        assert order.dtype == np.min_scalar_type(topo.node_count)
     # every source is cached now: a lookup that ran a BFS would raise
     with mock.patch.object(graph, "bfs_shortest_paths", side_effect=AssertionError):
         cached = [cache.paths_from(s) for s in range(topo.node_count)]
@@ -185,6 +192,85 @@ class TestBatchedBetweenness:
     def test_default_topologies_match_per_source_pass(self, index):
         _, topo = default_topologies()[index]
         assert_batched_betweenness(topo, range(0, topo.node_count, 7))
+
+
+def eager_entries(topo, ids):
+    """Every source's entry as an eager store keeps it: path counts share one
+    int object per distinct value within each batch of ``_BATCH`` sources,
+    node ids one object per node of ``ids``."""
+    entries = {}
+    for start in range(0, topo.node_count, _BATCH):
+        pool = {}
+        for s in range(start, min(start + _BATCH, topo.node_count)):
+            sp = bfs_shortest_paths(topo, s)
+            entries[s] = ShortestPathData(
+                dist=sp.dist, sigma=tuple(pool.setdefault(x, x) for x in sp.sigma),
+                order=tuple(ids[v] for v in sp.order))
+    return entries
+
+
+class TestLazyRows:
+    def test_disconnected_rows_are_narrow(self):
+        topo = from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6))
+        cache = PathCache(topo)
+        betweenness_centrality(topo, cache)
+        dist, values, sigma, order = cache._rows[0]
+        assert dist.dtype == np.int8 and sigma.dtype == order.dtype == np.uint8
+        assert dist.tolist() == [0, 1, 2] + [UNREACHABLE] * 3
+        assert values.take(sigma).tolist() == [1, 1, 1, 0, 0, 0]
+        assert order.tolist() == [0, 1, 2]
+        assert_batched_betweenness(topo)
+
+    def test_lookup_builds_only_its_source(self):
+        _, topo = default_topologies()[0]
+        cache = PathCache(topo)
+        betweenness_centrality(topo, cache)
+        assert not cache._sp and len(cache._rows) == topo.node_count
+        # a row read is a hit: it runs no BFS
+        with mock.patch.object(graph, "bfs_shortest_paths", side_effect=AssertionError):
+            sp = cache.paths_from(40)
+            assert list(cache._sp) == [40]
+            assert cache._rows.keys() == set(range(topo.node_count)) - {40}
+            assert cache.paths_from(40) is sp
+        assert sp == bfs_shortest_paths(topo, 40)
+
+    def test_batch_shares_int_objects(self):
+        topo = diamond_chain(90)  # node ids up to 270, path counts up to 2^90
+        cache = PathCache(topo)
+        betweenness_centrality(topo, cache)
+        # hubs h and h + 3 share a batch and reach hubs h + 3i and h + 3i + 3
+        # over 2^i paths; the first batch's counts pass int64, the fourth's
+        # do not
+        for h, i in ((0, 10), (0, 64), (96, 10)):
+            a, b = cache.paths_from(h), cache.paths_from(h + 3)
+            assert a.sigma[h + 3 * i] == 2 ** i
+            assert a.sigma[h + 3 * i] is b.sigma[h + 3 * i + 3]
+            assert a.order[-1] == 270 and a.order[-1] is b.order[-1]
+
+    def test_rows_retain_under_half_of_the_tuples(self):
+        _, topo = default_topologies()[0]
+        cache = PathCache(topo)
+        ids = cache._ids.tolist()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            betweenness_centrality(topo, cache)
+            gc.collect()
+            rows = tracemalloc.get_traced_memory()[0] - base
+            for s in range(topo.node_count):
+                cache.paths_from(s)
+            gc.collect()
+            read = tracemalloc.get_traced_memory()[0] - base
+            eager = eager_entries(topo, ids)
+            gc.collect()
+            eager_size = tracemalloc.get_traced_memory()[0] - base - read
+        finally:
+            tracemalloc.stop()
+        assert eager == cache._sp
+        assert rows < read / 2
+        # built on read, the tuples share ints as an eager store's do
+        assert read <= 1.1 * eager_size
 
 
 class TestEigenvector:

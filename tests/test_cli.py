@@ -46,6 +46,13 @@ class TestTopologyCommands:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["topology", "validate", str(tmp_path / "nope.txt")]) == 2
 
+    def test_empty_path_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # an empty path would name the working directory: a usage error, not
+        # a runtime one
+        monkeypatch.chdir(tmp_path)
+        assert main(["topology", "validate", ""]) == 1
+        assert "topology validate: empty path" in capsys.readouterr().err
+
     def test_bad_usage_is_config_error(self):
         assert main(["topology", "generate", "--kind", "dodecahedron"]) == 1
 
@@ -295,6 +302,16 @@ class TestExperimentCommand:
         monkeypatch.chdir(tmp_path)
         assert main([command, "--topology", ""]) == 1
         assert "config key 'topologies': empty path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "sweep-alpha"])
+    def test_empty_config_flag_is_config_error(self, command, line_file, tmp_path,
+                                               capsys, monkeypatch):
+        # not a run without a config file
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", "", "--topology", str(line_file),
+                     "--repetitions", "1", "--output-dir", "out"]) == 1
+        assert "--config: empty path" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_topology_in_config_is_config_error(self, line_file, tmp_path,
                                                       capsys):
