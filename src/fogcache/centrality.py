@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import UNREACHABLE, PathCache, ShortestPathData, Topology, farness
+from .graph import (_BATCH, UNREACHABLE, PathCache, ShortestPathData, Topology,
+                    farness)
 
 
 class PowerIterationError(RuntimeError):
@@ -73,11 +74,6 @@ def _accumulate(raw: list[float], topology: Topology, sp: ShortestPathData,
         for p in adjacency[w]:
             if dist[p] == closer:
                 delta[p] += sigma[p] * coeff
-
-
-# sources per batched BFS: a batch's arrays grow with it, and larger batches
-# gain little time for the memory (README, "Batched betweenness")
-_BATCH = 32
 
 
 def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -> CentralityScores:

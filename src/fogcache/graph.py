@@ -10,6 +10,9 @@ import numpy as np
 
 UNREACHABLE = -1
 _INT64_MAX = 2**63 - 1
+# sources per batched BFS: a batch's arrays grow with it, and larger batches
+# gain little time for the memory (README, "Batched betweenness")
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -141,10 +144,11 @@ class BFSLevel(NamedTuple):
 
     ``nodes`` holds the level's nodes as batch keys ``b * n + v`` (b the
     source's index in the batch), each source's in first-discovery order, so
-    they follow the order of :func:`bfs_shortest_paths`; ``sigma`` their path
-    counts (int64, or Python ints once they could pass 2^63 - 1).  Each
-    predecessor edge into the level links ``nodes[child]`` to ``nodes[parent]``
-    of the level before, and the edges are sorted by ``child``.
+    they follow a queue BFS that scans neighbours in ascending id; ``sigma``
+    their path counts (int64, or Python ints once they could pass 2^63 - 1).
+    Each predecessor edge into the level links ``nodes[child]`` to
+    ``nodes[parent]`` of the level before, and the edges are sorted by
+    ``child``.
     """
 
     nodes: np.ndarray
@@ -155,29 +159,10 @@ class BFSLevel(NamedTuple):
 
 def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
     """BFS from ``source`` counting all distinct shortest paths (Python ints,
-    exact beyond 2^53)."""
-    n = topology.node_count
-    if not 0 <= source < n:
-        raise ValueError(f"invalid source id {source}")
-    dist = [UNREACHABLE] * n
-    sigma = [0] * n
-    dist[source] = 0
-    sigma[source] = 1
-    order = [source]
-    adjacency = topology.adjacency
-    for v in order:  # appending while iterating: order doubles as the queue
-        dnext = dist[v] + 1
-        sv = sigma[v]
-        for w in adjacency[v]:
-            dw = dist[w]
-            if dw == UNREACHABLE:
-                dist[w] = dnext
-                sigma[w] = sv
-                order.append(w)
-            elif dw == dnext:
-                sigma[w] += sv
-    return ShortestPathData(dist=tuple(dist), sigma=tuple(sigma),
-                            order=tuple(order))
+    exact beyond 2^63), as a batch of one through :meth:`PathCache.bfs_levels`."""
+    cache = PathCache(topology)
+    cache.bfs_levels([source])
+    return cache.paths_from(source)
 
 
 def farness(topology: Topology) -> tuple[list[int], list[int]]:
@@ -233,19 +218,21 @@ class PathCache:
     """Memoized per-source BFS results (distances, path counts and visitation
     order) and per-target next-hop arrays for one immutable topology.
 
-    Betweenness leaves every source's BFS in bulk, batch by batch, through
-    :meth:`bfs_levels`, as compact numpy rows; :meth:`paths_from` builds a
-    source's tuples on its first read, from its row or else from a BFS of its
-    own.  Routing and centrality passes reuse BFS output across runs.  A
-    built entry is never replaced, and a row leaves the cache by one atomic
-    ``dict.pop``, so concurrent readers under the GIL are safe: two racing on
-    one source get equal entries.
+    Every BFS runs through :meth:`bfs_levels` and waits as compact numpy
+    rows: betweenness leaves every source's, batch by batch, and a read that
+    finds neither entry nor row runs the aligned block of ``_BATCH`` ids that
+    holds its source.  :meth:`paths_from` builds a source's tuples on its
+    first read; :meth:`next_hops` reads only a row's distances and leaves it
+    waiting.  Routing and centrality passes reuse BFS output across runs.  A
+    built entry is never replaced (``dict.setdefault``) and its row goes only
+    after it is in, so concurrent readers under the GIL are safe: racing
+    readers of one source get the same entry.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self._sp: dict[int, ShortestPathData] = {}
-        # betweenness's per-source rows (see _store), until first read
+        # per-source BFS rows (see _store), until first read
         self._rows: dict[int, tuple[np.ndarray, ...]] = {}
         self._hops: dict[int, array] = {}
         # CSR copy of the adjacency for batched BFS, and one int per node id
@@ -260,9 +247,9 @@ class PathCache:
         CSR copy of the adjacency (Kepner & Gilbert 2011), with exact path
         counts: int64 while they fit, Python ints once a level's counts could
         pass 2^63 - 1.  Caches each source's rows, from which
-        :meth:`paths_from` builds a :class:`ShortestPathData` equal to
-        :func:`bfs_shortest_paths` (an entry already built is kept), and
-        returns the levels, the sources first."""
+        :meth:`paths_from` builds a :class:`ShortestPathData` equal to a
+        per-source Python BFS (an entry already built is kept), and returns
+        the levels, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
         degree = np.diff(indptr)
@@ -287,7 +274,7 @@ class PathCache:
             counts = degree.take(v)
             total = int(counts.sum())
             # every (frontier node, neighbour) pair, frontier-major, neighbours
-            # ascending: the order in which the Python BFS meets them
+            # ascending: the order in which a queue BFS meets them
             parent = np.repeat(np.arange(nodes.size), counts)
             ends = np.cumsum(counts)
             edge = np.arange(total) + np.repeat(indptr.take(v) - ends + counts, counts)
@@ -344,19 +331,31 @@ class PathCache:
                 self._rows[s] = (dist[row], values, sigma[row], order[start:end])
             start = end
 
+    def _pending(self, source: int) -> tuple[np.ndarray, ...] | None:
+        """The waiting row of ``source``, after a BFS of its block if it has
+        neither row nor entry; None once a racing reader built its entry."""
+        row = self._rows.get(source)
+        if row is None and source not in self._sp:
+            n = self._ids.size
+            if not 0 <= source < n:
+                raise ValueError(f"invalid source id {source}")
+            start = source - source % _BATCH
+            self.bfs_levels(range(start, min(start + _BATCH, n)))
+            row = self._rows.get(source)
+        return row
+
     def paths_from(self, source: int) -> ShortestPathData:
         """The memoized BFS of ``source``, built on first read."""
         sp = self._sp.get(source)
         if sp is None:
-            row = self._rows.pop(source, None)
-            if row is None:
-                sp = bfs_shortest_paths(self.topology, source)
-            else:
-                dist, values, sigma, order = row
-                sp = ShortestPathData(dist=tuple(dist.tolist()),
-                                      sigma=tuple(values.take(sigma).tolist()),
-                                      order=tuple(self._ids.take(order).tolist()))
-            self._sp[source] = sp
+            row = self._pending(source)
+            if row is None:  # a racing reader built the entry
+                return self._sp[source]
+            dist, values, sigma, order = row
+            sp = self._sp.setdefault(source, ShortestPathData(
+                dist=tuple(dist.tolist()), sigma=tuple(values.take(sigma).tolist()),
+                order=tuple(self._ids.take(order).tolist())))
+            self._rows.pop(source, None)
         return sp
 
     def next_hops(self, target: int) -> array:
@@ -365,7 +364,8 @@ class PathCache:
         there is none (``target`` itself and nodes it cannot reach)."""
         hops = self._hops.get(target)
         if hops is None:
-            dist = self.paths_from(target).dist
+            row = self._pending(target)
+            dist = self._sp[target].dist if row is None else row[0].tolist()
             hops = array("i", [UNREACHABLE]) * len(dist)
             for v, nbrs in enumerate(self.topology.adjacency):
                 goal = dist[v] - 1
@@ -375,5 +375,5 @@ class PathCache:
                     if dist[w] == goal:
                         hops[v] = w
                         break
-            self._hops[target] = hops
+            hops = self._hops.setdefault(target, hops)
         return hops

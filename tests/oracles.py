@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
-Everything here recomputes from first principles (plain-dict BFS, explicit
-path enumeration, hop-by-hop routing) and deliberately shares no code with the
-package, except ``per_source_betweenness``: one Python BFS and one
-``_accumulate`` pass per source.  The package no longer runs that pass for
-betweenness; it is kept as the bit-exact reference for the batched one.
+Everything here recomputes from first principles (plain-dict BFS, a
+per-source Python BFS, explicit path enumeration, hop-by-hop routing) and
+deliberately shares no code with the package, except ``per_source_betweenness``:
+one ``python_bfs`` and one ``_accumulate`` pass per source.  The package runs
+neither a per-source BFS nor that pass for betweenness; they are kept as the
+bit-exact reference for the batched ones.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import random
 from collections import OrderedDict, deque
 
 from fogcache.centrality import _accumulate
-from fogcache.graph import bfs_shortest_paths
+from fogcache.graph import UNREACHABLE, ShortestPathData
 
 
 def adjacency_sets(topology):
@@ -29,6 +30,34 @@ def plain_bfs_dist(adj, source):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def python_bfs(topology, source):
+    """Queue BFS from ``source`` counting all distinct shortest paths in
+    Python ints, neighbours scanned in ascending id: the reference for every
+    ``PathCache`` entry."""
+    n = topology.node_count
+    if not 0 <= source < n:
+        raise ValueError(f"invalid source id {source}")
+    dist = [UNREACHABLE] * n
+    sigma = [0] * n
+    dist[source] = 0
+    sigma[source] = 1
+    order = [source]
+    adjacency = topology.adjacency
+    for v in order:  # appending while iterating: order doubles as the queue
+        dnext = dist[v] + 1
+        sv = sigma[v]
+        for w in adjacency[v]:
+            dw = dist[w]
+            if dw == UNREACHABLE:
+                dist[w] = dnext
+                sigma[w] = sv
+                order.append(w)
+            elif dw == dnext:
+                sigma[w] += sv
+    return ShortestPathData(dist=tuple(dist), sigma=tuple(sigma),
+                            order=tuple(order))
 
 
 def enumerate_shortest_paths(adj, source, target):
@@ -81,7 +110,7 @@ def per_source_betweenness(topology):
     raw = [0.0] * n
     unit = [1.0] * n
     for s in range(n):
-        _accumulate(raw, topology, bfs_shortest_paths(topology, s), unit)
+        _accumulate(raw, topology, python_bfs(topology, s), unit)
     return tuple(x / 2.0 for x in raw)
 
 

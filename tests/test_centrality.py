@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fogcache.centrality import (_BATCH, PowerIterationError, ReplicationPolicy,
+from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
                                  betweenness_centrality, cbc_exact,
                                  cbc_replication, closeness_centrality,
                                  concretize_classes, degree_centrality,
                                  eigenvector_centrality, normalize_minmax)
-from fogcache import graph
 from fogcache.experiment import default_topologies
-from fogcache.graph import (UNREACHABLE, PathCache, ShortestPathData,
-                            bfs_shortest_paths, from_edges, load_topology)
+from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, ShortestPathData,
+                            from_edges, load_topology)
 from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
-                     per_source_betweenness, plain_bfs_dist, random_edge_set)
+                     per_source_betweenness, plain_bfs_dist, python_bfs,
+                     random_edge_set)
 
 STAR5 = "0 1\n0 2\n0 3\n0 4"
 PATH3 = "0 1\n1 2"
@@ -57,8 +57,8 @@ def branching_chain(seed):
 
 def assert_batched_betweenness(topo, precached=()):
     """Betweenness equals the per-source pass bit for bit, leaves every
-    source's BFS in the cache equal to ``bfs_shortest_paths`` (exact Python
-    ints), and keeps the entries cached before it."""
+    source's BFS in the cache equal to the oracle's ``python_bfs`` (exact
+    Python ints), and keeps the entries cached before it."""
     cache = PathCache(topo)
     before = {s: cache.paths_from(s) for s in precached}
     assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
@@ -68,10 +68,10 @@ def assert_batched_betweenness(topo, precached=()):
         assert dist.dtype in (np.int8, np.int16) and sigma.dtype.kind == "u"
         assert order.dtype == np.min_scalar_type(topo.node_count)
     # every source is cached now: a lookup that ran a BFS would raise
-    with mock.patch.object(graph, "bfs_shortest_paths", side_effect=AssertionError):
+    with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
         cached = [cache.paths_from(s) for s in range(topo.node_count)]
     for s, sp in enumerate(cached):
-        assert sp == bfs_shortest_paths(topo, s)
+        assert sp == python_bfs(topo, s)
         assert all(type(x) is int for x in (*sp.dist, *sp.sigma, *sp.order))
     assert all(cached[s] is sp for s, sp in before.items())
     return cache
@@ -100,18 +100,10 @@ class TestClassicCentralities:
         assert closeness_centrality(topo).raw[2] == 0.0
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_closeness_runs_no_bfs_matches_oracle(self, seed, monkeypatch):
+    def test_closeness_runs_no_bfs_matches_oracle(self, seed):
         topo = random_topology(seed, max_nodes=12)
-        sources = []
-        bfs = graph.bfs_shortest_paths
-
-        def counted_bfs(topology, source):
-            sources.append(source)
-            return bfs(topology, source)
-
-        monkeypatch.setattr(graph, "bfs_shortest_paths", counted_bfs)
-        raw = closeness_centrality(topo).raw
-        assert sources == []
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            raw = closeness_centrality(topo).raw
         adj = adjacency_sets(topo)
         for v in range(topo.node_count):
             dists = [d for d in plain_bfs_dist(adj, v).values() if d > 0]
@@ -161,6 +153,10 @@ class TestBatchedBetweenness:
                 for batch in batches} == {True, False}
         cache = assert_batched_betweenness(topo, random.Random(seed).sample(range(n), 9))
         assert max(cache.paths_from(0).sigma) > 2 ** 63
+        # a fresh cache's misses fill the same entries block by block
+        fresh = PathCache(topo)
+        assert [fresh.paths_from(s) for s in range(n - 1, -1, -1)] == \
+            [python_bfs(topo, s) for s in range(n - 1, -1, -1)]
 
     def test_cbc_reads_betweenness_cache_past_int64(self):
         topo = diamond_chain(70)
@@ -202,7 +198,7 @@ def eager_entries(topo, ids):
     for start in range(0, topo.node_count, _BATCH):
         pool = {}
         for s in range(start, min(start + _BATCH, topo.node_count)):
-            sp = bfs_shortest_paths(topo, s)
+            sp = python_bfs(topo, s)
             entries[s] = ShortestPathData(
                 dist=sp.dist, sigma=tuple(pool.setdefault(x, x) for x in sp.sigma),
                 order=tuple(ids[v] for v in sp.order))
@@ -227,12 +223,12 @@ class TestLazyRows:
         betweenness_centrality(topo, cache)
         assert not cache._sp and len(cache._rows) == topo.node_count
         # a row read is a hit: it runs no BFS
-        with mock.patch.object(graph, "bfs_shortest_paths", side_effect=AssertionError):
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
             sp = cache.paths_from(40)
             assert list(cache._sp) == [40]
             assert cache._rows.keys() == set(range(topo.node_count)) - {40}
             assert cache.paths_from(40) is sp
-        assert sp == bfs_shortest_paths(topo, 40)
+        assert sp == python_bfs(topo, 40)
 
     def test_batch_shares_int_objects(self):
         topo = diamond_chain(90)  # node ids up to 270, path counts up to 2^90

@@ -17,6 +17,19 @@ def line_file(tmp_path):
 
 
 @pytest.fixture
+def split_file(tmp_path):
+    """45 nodes in two components: a 5 x 5 grid (ids 0-24) that holds the
+    origin, and a 20-node line (ids 100-119, dense ids 25-44) that cannot
+    reach it and straddles the 32-id block boundary."""
+    grid = [(r * 5 + c, r * 5 + c + d) for r in range(5) for c in range(5)
+            for d in (1, 5) if (c < 4 if d == 1 else r < 4)]
+    line = [(i, i + 1) for i in range(100, 119)]
+    path = tmp_path / "split.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in grid + line))
+    return path
+
+
+@pytest.fixture
 def line4_file(tmp_path):
     path = tmp_path / "line4.txt"
     path.write_text("0 1\n1 2\n2 3\n")
@@ -104,17 +117,20 @@ class TestAnalysisCommands:
                      "--catalog-size", "10"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
 
-    @pytest.mark.parametrize("scheme,knobs", [
-        pytest.param(scheme, knobs, id=scheme + suffix)
-        for suffix, knobs in (
-            ("", ["--interests", "50", "--catalog-size", "10"]),
-            ("-defaults", []),
-            ("-non-default", ["--buffer-items", "3", "--master-seed", "5",
-                              "--consumer-frac", "0.4"]))
+    @pytest.mark.parametrize("scheme,topology,knobs", [
+        pytest.param(scheme, topology, knobs, id=scheme + suffix)
+        for suffix, topology, knobs in (
+            ("", "line_file", ["--interests", "50", "--catalog-size", "10"]),
+            ("-defaults", "line_file", []),
+            ("-non-default", "line_file", ["--buffer-items", "3",
+                                           "--master-seed", "5",
+                                           "--consumer-frac", "0.4"]),
+            ("-split", "split_file", ["--interests", "300"]))
         for scheme in SCHEMES])
-    def test_simulate_row_matches_experiment(self, scheme, knobs, line_file,
-                                             tmp_path, capsys):
-        common = ["--topology", str(line_file), *knobs]
+    def test_simulate_row_matches_experiment(self, scheme, topology, knobs,
+                                             request, tmp_path, capsys):
+        path = request.getfixturevalue(topology)
+        common = ["--topology", str(path), *knobs]
         assert main(["simulate", "--scheme", scheme, "--alpha", "1",
                      *common]) == 0
         simulated = capsys.readouterr().out.splitlines()
@@ -124,6 +140,8 @@ class TestAnalysisCommands:
                      *common]) == 0
         results = (out_dir / "results.csv").read_text().splitlines()
         assert simulated == results[:2]
+        if topology == "split_file":  # the line's consumers reach no origin
+            assert int(simulated[1].split(",")[CSV_COLUMNS.index("unsatisfied")]) > 0
 
     @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "no_fog"])
     def test_no_providers_matches_no_fog(self, scheme, line4_file, capsys):

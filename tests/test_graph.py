@@ -1,14 +1,19 @@
+import random
+import sys
+import threading
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fogcache.graph import (UNREACHABLE, PathCache, Topology,
+from fogcache.centrality import betweenness_centrality
+from fogcache.experiment import default_topologies
+from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, Topology,
                             bfs_shortest_paths, connected_components,
                             farness, from_edges, load_topology,
                             serialize_topology)
-from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist,
+from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist, python_bfs,
                      random_edge_set)
-
-import random
 
 
 def small_graphs(max_nodes=8):
@@ -161,6 +166,15 @@ class TestBfsShortestPaths:
         for s in range(topo.node_count):
             sp = bfs_shortest_paths(topo, s)
             assert list(sp.sigma) == naive_sigma(topo, s)
+            assert sp == python_bfs(topo, s)
+
+    def test_batch_of_one(self):
+        topo = load_topology("0 1\n1 2\n2 3\n3 0")
+        with mock.patch.object(PathCache, "bfs_levels", autospec=True,
+                               side_effect=PathCache.bfs_levels) as bfs:
+            sp = bfs_shortest_paths(topo, 2)
+        assert [list(call.args[1]) for call in bfs.call_args_list] == [[2]]
+        assert sp == python_bfs(topo, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
@@ -190,6 +204,106 @@ class TestNextHops:
         hops = cache.next_hops(0)
         assert list(hops) == [UNREACHABLE, 0, 1, UNREACHABLE, UNREACHABLE]
         assert cache.next_hops(0) is hops
+
+    def test_reads_waiting_row_without_building(self):
+        _, topo = default_topologies()[0]
+        cache = PathCache(topo)
+        betweenness_centrality(topo, cache)
+        targets = range(0, topo.node_count, 9)
+        rows = {t: cache._rows[t] for t in targets}
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            hops = {t: cache.next_hops(t) for t in targets}
+        assert not cache._sp
+        assert all(cache._rows[t] is rows[t] for t in targets)
+        for t in targets:
+            assert list(hops[t]) == [min(p) if p else UNREACHABLE
+                                     for p in oracle_preds(topo, t)]
+
+
+class TestPathCacheMiss:
+    def test_fills_the_aligned_block(self):
+        _, topo = default_topologies()[0]
+        n = topo.node_count
+        last = n - n % _BATCH  # the short block at the end
+        cache = PathCache(topo)
+        with mock.patch.object(PathCache, "bfs_levels", autospec=True,
+                               side_effect=PathCache.bfs_levels) as bfs:
+            for s in (40, 33, 63, n - 1, last, 75):
+                assert cache.paths_from(s) == python_bfs(topo, s)
+        blocks = [list(call.args[1]) for call in bfs.call_args_list]
+        assert blocks == [list(range(32, 64)), list(range(last, n)),
+                          list(range(64, 96))]
+        assert cache._sp.keys() == {40, 33, 63, n - 1, last, 75}
+        assert cache._rows.keys() == ({*range(32, 96), *range(last, n)}
+                                      - cache._sp.keys())
+
+    @pytest.mark.parametrize("bad", [-1, -40, 7, 100])
+    def test_invalid_source(self, bad):
+        cache = PathCache(load_topology("0 1\n1 2\n2 3\n3 4\n4 5\n5 6"))
+        with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+            cache.paths_from(bad)
+        with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+            cache.next_hops(bad)
+        assert not cache._sp and not cache._rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_every_read_matches_oracle(self, seed):
+        # up to 80 nodes (three blocks), split into components, read in a
+        # random order with next-hop reads between
+        rng = random.Random(seed)
+        n = rng.randint(1, 80)
+        topo = from_edges(random_edge_set(rng, n, rng.choice([0.02, 0.06, 0.2])),
+                          nodes=range(n))
+        cache = PathCache(topo)
+        for s in rng.sample(range(n), n):
+            if rng.random() < 0.3:
+                assert list(cache.next_hops(s)) == [
+                    min(p) if p else UNREACHABLE for p in oracle_preds(topo, s)]
+            assert cache.paths_from(s) == python_bfs(topo, s)
+
+    def test_racing_readers_share_entries(self):
+        # four threads read the same 64 sources of each of five fresh caches,
+        # meeting at a barrier before each cache and switching as often as
+        # the interpreter allows
+        _, topo = default_topologies()[0]
+        caches = [PathCache(topo) for _ in range(5)]
+        sources = range(64)
+        barrier = threading.Barrier(4, timeout=60)
+        read, errors = [], []
+
+        def reader():
+            try:
+                mine = []
+                for cache in caches:
+                    barrier.wait()
+                    mine.append([(cache.paths_from(s), cache.next_hops(s))
+                                 for s in sources])
+                read.append(mine)
+            except Exception as exc:  # reported by the main thread
+                barrier.abort()
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(read) == 4
+        for s in sources:
+            expected = python_bfs(topo, s)
+            preds = [min(p) if p else UNREACHABLE for p in oracle_preds(topo, s)]
+            for i, cache in enumerate(caches):
+                sp, hops = cache.paths_from(s), cache.next_hops(s)
+                assert sp == expected and list(hops) == preds
+                assert all(mine[i][s][0] is sp and mine[i][s][1] is hops
+                           for mine in read)
 
 
 class TestConnectedComponents:

@@ -136,3 +136,35 @@ def test_detects_undeclared_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_declared(path):
     assert undeclared_imports(path.read_text(), runtime_dependencies()) == []
+
+
+def calls_to(source: str, name: str) -> list[int]:
+    """Lines that call ``name``, bare (``name(...)``) or as an attribute
+    (``module.name(...)``)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None))]
+
+
+def defines(source: str, name: str) -> bool:
+    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == name for node in ast.walk(ast.parse(source)))
+
+
+def test_detects_call():
+    source = ("from . import graph\nfrom .graph import f\n"
+              "def g():\n    f(1)\n    return graph.f(2), f\n"
+              "h = [graph.f]\n")
+    assert calls_to(source, "f") == [4, 5]
+    assert defines("def f():\n    pass\n", "f") and not defines(source, "f")
+
+
+# every BFS in the package runs through PathCache.bfs_levels: the per-source
+# entry point wraps it for callers outside the package and nothing inside
+# calls it
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_one_bfs_engine(path):
+    source = path.read_text()
+    assert calls_to(source, "bfs_shortest_paths") == []
+    assert defines(source, "bfs_shortest_paths") == (path.name == "graph.py")

@@ -4,10 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fogcache import graph
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.centrality import ReplicationPolicy
-from fogcache.graph import PathCache, from_edges
+from fogcache.graph import _BATCH, PathCache, from_edges
 from fogcache.placement import CacheAssignment, place_greedy_popular
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
                                 pooled_hit_rate, run_simulation, success_rate,
@@ -298,10 +297,11 @@ class TestRunSimulation:
 
 class TestPathCacheReuse:
     def cell(self):
-        rng = random.Random(0)
-        topo = from_edges(random_edge_set(rng, 14, 0.2), nodes=range(14),
-                          origin_spec=13)
-        roles = assign_roles(topo, 0.4, 0.4, seed=2)
+        # 200 nodes in many components: ten consumers, twenty providers
+        rng = random.Random(2)
+        topo = from_edges(random_edge_set(rng, 200, 0.01), nodes=range(200),
+                          origin_spec=199)
+        roles = assign_roles(topo, 0.05, 0.1, seed=2)
         catalog = zipf_catalog(8)
         assignment = place_greedy_popular(roles.providers,
                                           ReplicationPolicy(0.0, 2, catalog.size))
@@ -309,24 +309,30 @@ class TestPathCacheReuse:
         return topo, assignment, roles, workload
 
     def count_bfs(self, monkeypatch):
-        sources = []
-        bfs = graph.bfs_shortest_paths
-        monkeypatch.setattr(graph, "bfs_shortest_paths",
-                            lambda topo, s: sources.append(s) or bfs(topo, s))
-        return sources
+        """The source blocks of every batched BFS run from here on."""
+        blocks = []
+        bfs = PathCache.bfs_levels
+
+        def counted(cache, sources):
+            blocks.append(list(sources))
+            return bfs(cache, sources)
+
+        monkeypatch.setattr(PathCache, "bfs_levels", counted)
+        return blocks
 
     def test_bfs_once_per_routed_consumer_and_server(self, monkeypatch):
         # the same sources as hop-by-hop routing: each consumer that looks
-        # for a holder and each server it routes to
+        # for a holder reads its BFS, and each server it routes to its
+        # next-hop tree
         topo, assignment, roles, workload = self.cell()
         holders = assignment.holders_by_item()
-        served, expected = set(), set()
+        served, consumers, servers = set(), set(), set()
         for c, item in set(workload.draws):
             found = holders.get(item, set()) | {topo.origin}
             if c in found:
                 served.add("self")
                 continue
-            expected.add(c)
+            consumers.add(c)
             dist = plain_bfs_dist(topo.adjacency, c)
             reachable = [h for h in found if h in dist]
             if not reachable:
@@ -334,23 +340,35 @@ class TestPathCacheReuse:
                 continue
             server = min(reachable, key=lambda h: (dist[h], h))
             served.add("origin" if server == topo.origin else "cache")
-            expected.add(server)
+            servers.add(server)
         assert served == {"cache", "origin", "none"}
-        sources = self.count_bfs(monkeypatch)
-        run_simulation(topo, assignment, roles, workload, path_cache=PathCache(topo))
-        assert sorted(sources) == sorted(expected)
+        assert servers - consumers
+        # one batched BFS per aligned block of those sources; one block has
+        # none of them
+        n = topo.node_count
+        starts = {v - v % _BATCH for v in consumers | servers}
+        assert len(starts) < -(-n // _BATCH)
+        blocks = self.count_bfs(monkeypatch)
+        cache = PathCache(topo)
+        run_simulation(topo, assignment, roles, workload, path_cache=cache)
+        assert sorted(blocks) == [list(range(s, min(s + _BATCH, n)))
+                                  for s in sorted(starts)]
+        assert cache._sp.keys() == consumers
+        assert cache._hops.keys() == servers
 
     def test_second_run_builds_nothing(self, monkeypatch):
         topo, assignment, roles, workload = self.cell()
         cache = PathCache(topo)
         first = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
-        hops = dict(cache._hops)
-        sources = self.count_bfs(monkeypatch)
+        entries, hops = dict(cache._sp), dict(cache._hops)
+        blocks = self.count_bfs(monkeypatch)
         again = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
         assert again == first
-        assert sources == []
+        assert blocks == []
+        assert cache._sp.keys() == entries.keys()
+        assert all(cache._sp[s] is entries[s] for s in entries)
         assert cache._hops.keys() == hops.keys()
         assert all(cache._hops[t] is hops[t] for t in hops)
 
