@@ -35,8 +35,13 @@ CSV_COLUMNS = ("topology", "scheme", "alpha", "repetition", "seed", *_METRICS)
 
 
 def _listed(cast):
-    """Parser of a comma-separated list of ``cast`` values."""
-    return lambda text: tuple(cast(part.strip()) for part in text.split(","))
+    """Parser of a comma-separated list of ``cast`` values, none of them empty."""
+    def parse(text):
+        parts = [part.strip() for part in text.split(",")]
+        if not all(parts):
+            raise ValueError(text)
+        return tuple(map(cast, parts))
+    return parse
 
 
 # config key -> (ExperimentPlan field, parser of the key's text); each key is
@@ -384,10 +389,12 @@ def _knob(key: str, text: str) -> tuple[str, object]:
 def plan_from_config(config: dict, base_dir=".") -> tuple[ExperimentPlan, str]:
     """Build a plan from config text values, resolving topology files
     relative to ``base_dir``; ``topologies`` is comma-separated text or a
-    list of paths.  Returns (plan, output_dir)."""
-    knobs = dict(_knob(key, config[key]) for key in KNOBS
-                 if config.get(key) not in (None, ""))
-    paths = config.get("topologies") or []
+    list of paths, and no key may be empty.  Returns (plan, output_dir)."""
+    knobs = dict(_knob(key, config[key]) for key in KNOBS if key in config)
+    output_dir = str(config.get("output_dir", "results"))
+    if not output_dir.strip():  # it would name the working directory
+        raise ValueError("config key 'output_dir': empty path")
+    paths = config.get("topologies", [])
     if isinstance(paths, str):
         paths = [item.strip() for item in paths.split(",")]
     if not all(str(path).strip() for path in paths):
@@ -400,4 +407,4 @@ def plan_from_config(config: dict, base_dir=".") -> tuple[ExperimentPlan, str]:
                        for path, stem in zip(paths, stems))
     plan = (ExperimentPlan(topologies, **knobs) if topologies
             else default_plan(**knobs))
-    return plan, str(config.get("output_dir", "results"))
+    return plan, output_dir

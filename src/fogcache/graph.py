@@ -215,25 +215,25 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 
 class PathCache:
-    """Memoized per-source BFS results (distances, path counts and visitation
-    order) and per-target next-hop arrays for one immutable topology.
+    """Per-source BFS results (distances, path counts and visitation order)
+    and per-target next-hop arrays for one immutable topology.
 
-    Every BFS runs through :meth:`bfs_levels` and waits as compact numpy
-    rows: betweenness leaves every source's, batch by batch, and a read that
-    finds neither entry nor row runs the aligned block of ``_BATCH`` ids that
-    holds its source.  :meth:`paths_from` builds a source's tuples on its
-    first read; :meth:`next_hops` reads only a row's distances and leaves it
-    waiting.  Routing and centrality passes reuse BFS output across runs.  A
-    built entry is never replaced (``dict.setdefault``) and its row goes only
-    after it is in, so concurrent readers under the GIL are safe: racing
-    readers of one source get the same entry.
+    Every BFS runs through :meth:`bfs_levels` and stays as compact numpy rows
+    for the cache's lifetime: betweenness leaves every source's, batch by
+    batch, and a read of a source without a row runs the aligned block of
+    ``_BATCH`` ids that holds it.  :meth:`paths_from` builds a source's tuples
+    from its row on each call; the two reads routing repeats are memoized,
+    :meth:`dist_from` per source and :meth:`next_hops` per target.  Rows and
+    memos are never replaced (``dict.setdefault``), so concurrent readers
+    under the GIL are safe: racing readers of one source get the same
+    objects.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        self._sp: dict[int, ShortestPathData] = {}
-        # per-source BFS rows (see _store), until first read
+        # per-source BFS rows (see _store) and distance tuples
         self._rows: dict[int, tuple[np.ndarray, ...]] = {}
+        self._dist: dict[int, tuple[int, ...]] = {}
         self._hops: dict[int, array] = {}
         # CSR copy of the adjacency for batched BFS, and one int per node id
         adjacency = topology.adjacency
@@ -248,7 +248,7 @@ class PathCache:
         counts: int64 while they fit, Python ints once a level's counts could
         pass 2^63 - 1.  Caches each source's rows, from which
         :meth:`paths_from` builds a :class:`ShortestPathData` equal to a
-        per-source Python BFS (an entry already built is kept), and returns
+        per-source Python BFS (a row already stored is kept), and returns
         the levels, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
@@ -300,12 +300,13 @@ class PathCache:
         return levels
 
     def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
-        """Keep each uncached source's BFS from ``levels`` as compact numpy
-        rows for :meth:`paths_from` to build its tuples from: ``dist`` in the
-        narrowest signed dtype for the level count, the BFS ``order`` in the
-        narrowest dtype for n, and σ as an index row into the batch's object
-        array of distinct path counts.  So the tuples share one int object per
-        node id and, within the batch, one per distinct path count."""
+        """Keep each source's BFS from ``levels``, unless it has a row, as
+        compact numpy rows for :meth:`paths_from` to build its tuples from:
+        ``dist`` in the narrowest signed dtype for the level count, the BFS
+        ``order`` in the narrowest dtype for n, and σ as an index row into the
+        batch's object array of distinct path counts.  So the tuples share one
+        int object per node id and, within the batch, one per distinct path
+        count."""
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
         dist = np.full(len(sources) * n, UNREACHABLE,
@@ -324,48 +325,39 @@ class PathCache:
                                kind="stable")  # a radix sort
         order = (keys.take(by_source) % n).astype(np.min_scalar_type(n))
         ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
-        start = 0
-        for b, (s, end) in enumerate(zip(sources, ends)):
-            if s not in self._sp:
-                row = slice(b * n, (b + 1) * n)
-                self._rows[s] = (dist[row], values, sigma[row], order[start:end])
-            start = end
+        for b, (s, start, end) in enumerate(zip(sources, [0, *ends], ends)):
+            row = slice(b * n, (b + 1) * n)
+            self._rows.setdefault(s, (dist[row], values, sigma[row], order[start:end]))
 
-    def _pending(self, source: int) -> tuple[np.ndarray, ...] | None:
-        """The waiting row of ``source``, after a BFS of its block if it has
-        neither row nor entry; None once a racing reader built its entry."""
-        row = self._rows.get(source)
-        if row is None and source not in self._sp:
+    def _row(self, source: int) -> tuple[np.ndarray, ...]:
+        """The BFS row of ``source``, after a BFS of its block if it has none."""
+        if source not in self._rows:
             n = self._ids.size
             if not 0 <= source < n:
                 raise ValueError(f"invalid source id {source}")
             start = source - source % _BATCH
             self.bfs_levels(range(start, min(start + _BATCH, n)))
-            row = self._rows.get(source)
-        return row
+        return self._rows[source]
+
+    def dist_from(self, source: int) -> tuple[int, ...]:
+        """Memoized hop distances from ``source``, UNREACHABLE where no path."""
+        if source not in self._dist:
+            self._dist.setdefault(source, tuple(self._row(source)[0].tolist()))
+        return self._dist[source]
 
     def paths_from(self, source: int) -> ShortestPathData:
-        """The memoized BFS of ``source``, built on first read."""
-        sp = self._sp.get(source)
-        if sp is None:
-            row = self._pending(source)
-            if row is None:  # a racing reader built the entry
-                return self._sp[source]
-            dist, values, sigma, order = row
-            sp = self._sp.setdefault(source, ShortestPathData(
-                dist=tuple(dist.tolist()), sigma=tuple(values.take(sigma).tolist()),
-                order=tuple(self._ids.take(order).tolist())))
-            self._rows.pop(source, None)
-        return sp
+        """The BFS of ``source``, built from its row on each call."""
+        _, values, sigma, order = self._row(source)
+        return ShortestPathData(dist=self.dist_from(source),
+                                sigma=tuple(values.take(sigma).tolist()),
+                                order=tuple(self._ids.take(order).tolist()))
 
     def next_hops(self, target: int) -> array:
         """Routing tree toward ``target``: entry v is the smallest-id
         neighbour of v one hop closer to ``target``, or UNREACHABLE where
         there is none (``target`` itself and nodes it cannot reach)."""
-        hops = self._hops.get(target)
-        if hops is None:
-            row = self._pending(target)
-            dist = self._sp[target].dist if row is None else row[0].tolist()
+        if target not in self._hops:
+            dist = self._row(target)[0].tolist()
             hops = array("i", [UNREACHABLE]) * len(dist)
             for v, nbrs in enumerate(self.topology.adjacency):
                 goal = dist[v] - 1
@@ -375,5 +367,5 @@ class PathCache:
                     if dist[w] == goal:
                         hops[v] = w
                         break
-            hops = self._hops.setdefault(target, hops)
-        return hops
+            self._hops.setdefault(target, hops)
+        return self._hops[target]

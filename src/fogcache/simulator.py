@@ -70,7 +70,7 @@ def _choose_server(cache: PathCache, holders, consumer: int):
     origin = cache.topology.origin
     if consumer in holders or consumer == origin:
         return "self", consumer
-    dist = cache.paths_from(consumer).dist
+    dist = cache.dist_from(consumer)
     best, server = dist[origin], origin
     if best == UNREACHABLE:
         best, server = len(dist), None  # farther than any reachable node

@@ -57,13 +57,17 @@ def branching_chain(seed):
 
 def assert_batched_betweenness(topo, precached=()):
     """Betweenness equals the per-source pass bit for bit, leaves every
-    source's BFS in the cache equal to the oracle's ``python_bfs`` (exact
-    Python ints), and keeps the entries cached before it."""
+    source's BFS in the cache as rows from which ``paths_from`` builds the
+    oracle's ``python_bfs`` (exact Python ints), and keeps the rows stored
+    before it."""
     cache = PathCache(topo)
-    before = {s: cache.paths_from(s) for s in precached}
+    for s in precached:
+        cache.paths_from(s)
+    before = dict(cache._rows)
     assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
-    # the uncached sources wait as compact rows
-    assert cache._rows.keys() == set(range(topo.node_count)) - before.keys()
+    # every source has a compact row, and a row stored earlier is the same object
+    assert cache._rows.keys() == set(range(topo.node_count))
+    assert all(cache._rows[s] is row for s, row in before.items())
     for dist, _, sigma, order in cache._rows.values():
         assert dist.dtype in (np.int8, np.int16) and sigma.dtype.kind == "u"
         assert order.dtype == np.min_scalar_type(topo.node_count)
@@ -73,7 +77,6 @@ def assert_batched_betweenness(topo, precached=()):
     for s, sp in enumerate(cached):
         assert sp == python_bfs(topo, s)
         assert all(type(x) is int for x in (*sp.dist, *sp.sigma, *sp.order))
-    assert all(cached[s] is sp for s, sp in before.items())
     return cache
 
 
@@ -221,13 +224,16 @@ class TestLazyRows:
         _, topo = default_topologies()[0]
         cache = PathCache(topo)
         betweenness_centrality(topo, cache)
-        assert not cache._sp and len(cache._rows) == topo.node_count
-        # a row read is a hit: it runs no BFS
+        rows = dict(cache._rows)
+        assert rows.keys() == set(range(topo.node_count)) and not cache._dist
+        # a row read is a hit: it runs no BFS, keeps the row, and memoizes
+        # only its source's distances
         with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
             sp = cache.paths_from(40)
-            assert list(cache._sp) == [40]
-            assert cache._rows.keys() == set(range(topo.node_count)) - {40}
-            assert cache.paths_from(40) is sp
+            assert list(cache._dist) == [40]
+            assert cache.dist_from(40) is sp.dist
+            assert cache.paths_from(40).dist is sp.dist
+        assert all(cache._rows[s] is row for s, row in rows.items())
         assert sp == python_bfs(topo, 40)
 
     def test_batch_shares_int_objects(self):
@@ -243,8 +249,9 @@ class TestLazyRows:
             assert a.sigma[h + 3 * i] is b.sigma[h + 3 * i + 3]
             assert a.order[-1] == 270 and a.order[-1] is b.order[-1]
 
-    def test_rows_retain_under_half_of_the_tuples(self):
+    def test_reads_keep_only_distance_tuples(self):
         _, topo = default_topologies()[0]
+        n = topo.node_count
         cache = PathCache(topo)
         ids = cache._ids.tolist()
         gc.collect()
@@ -254,19 +261,26 @@ class TestLazyRows:
             betweenness_centrality(topo, cache)
             gc.collect()
             rows = tracemalloc.get_traced_memory()[0] - base
-            for s in range(topo.node_count):
+            for s in range(n):
                 cache.paths_from(s)
+                cache.dist_from(s)
             gc.collect()
-            read = tracemalloc.get_traced_memory()[0] - base
+            kept = tracemalloc.get_traced_memory()[0] - base
             eager = eager_entries(topo, ids)
             gc.collect()
-            eager_size = tracemalloc.get_traced_memory()[0] - base - read
+            eager_size = tracemalloc.get_traced_memory()[0] - base - kept
+            dists = [sp.dist for sp in map(python_bfs, [topo] * n, range(n))]
+            gc.collect()
+            dist_size = (tracemalloc.get_traced_memory()[0] - base - kept
+                         - eager_size)
         finally:
             tracemalloc.stop()
-        assert eager == cache._sp
-        assert rows < read / 2
-        # built on read, the tuples share ints as an eager store's do
-        assert read <= 1.1 * eager_size
+        assert [cache.paths_from(s) for s in range(n)] == list(eager.values())
+        assert list(cache._dist.values()) == dists
+        assert rows < eager_size / 2
+        # the reads keep one distance tuple per source and no σ or order
+        # tuples, where an eager store keeps all three
+        assert kept - rows <= 1.1 * dist_size
 
 
 class TestEigenvector:

@@ -3,7 +3,7 @@ import csv
 import pytest
 
 from fogcache import experiment
-from fogcache.cli import main
+from fogcache.cli import _CELL_KNOBS, main
 from fogcache.experiment import CSV_COLUMNS, KNOBS, SCHEMES, ResultTable
 from fogcache.graph import load_topology
 from fogcache.synthetic import generate_synthetic_topology
@@ -165,6 +165,20 @@ class TestAnalysisCommands:
         assert captured.out == ""
         assert "repetition must be >= 0, got -1" in captured.err
 
+
+    @pytest.mark.parametrize("command,key",
+                             [(c, k) for c in ("centrality", "place", "simulate")
+                              for k in _CELL_KNOBS] + [("simulate", "interests")])
+    def test_empty_knob_is_config_error(self, command, key, line_file, tmp_path,
+                                        capsys):
+        # not a run on the knob's default
+        out = tmp_path / "out.csv"
+        assert main([command, "--topology", str(line_file),
+                     "--" + key.replace("_", "-"), "", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key!r}: invalid value ''" in captured.err
+        assert not out.exists()
 
 class TestExperimentCommand:
     def test_small_experiment_writes_reports(self, line_file, tmp_path, capsys):
@@ -340,6 +354,29 @@ class TestExperimentCommand:
         assert "config key 'topologies': empty path" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["output_dir", "topologies"])
+    def test_empty_path_in_config_is_config_error(self, key, line_file, tmp_path,
+                                                  capsys, monkeypatch):
+        # an empty path would name the working directory
+        monkeypatch.chdir(tmp_path)
+        lines = {"topologies": line_file.name, "repetitions": "1",
+                 "output_dir": "out", key: ""}
+        config = tmp_path / "plan.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        before = set(tmp_path.iterdir())
+        assert main(["experiment", "--config", str(config)]) == 1
+        assert f"config key {key!r}: empty path" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_empty_output_dir_flag_is_config_error(self, line_file, tmp_path,
+                                                   capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        assert main(["experiment", "--topology", str(line_file), "--repetitions",
+                     "1", "--interests", "10", "--output-dir", ""]) == 1
+        assert "config key 'output_dir': empty path" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
+
     def test_unknown_scheme_flag(self, line_file):
         assert main(["experiment", "--topology", str(line_file),
                      "--schemes", "mystery", "--repetitions", "1",
@@ -390,6 +427,20 @@ class TestKnobTable:
         overridden = self.planned(monkeypatch, tmp_path,
                                   ["--config", str(config), *flag])
         assert overridden == from_config
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_empty_knob_is_config_error(self, key, line_file, tmp_path, capsys,
+                                        monkeypatch):
+        # from a flag or a config line, not a run on the knob's default
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "plan.cfg"
+        config.write_text(f"topologies = {line_file.name}\n{key} =\n")
+        before = set(tmp_path.iterdir())
+        for argv in (["--config", str(config)],
+                     ["--topology", str(line_file), "--" + key.replace("_", "-"), ""]):
+            assert main(["experiment", *argv, "--output-dir", "out"]) == 1
+            assert f"config key {key!r}: invalid value ''" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before
 
 
 SUBCOMMANDS = [["topology"], ["topology", "generate"], ["topology", "validate"],

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fogcache import experiment
-from fogcache.experiment import (CSV_COLUMNS, SCHEMES, ExperimentPlan,
+from fogcache.experiment import (CSV_COLUMNS, KNOBS, SCHEMES, ExperimentPlan,
                                  cell_inputs, default_plan, default_topologies,
                                  derive_seed, emit_report, mean_metric,
                                  parse_config, plan_from_config, run_experiment,
@@ -453,6 +454,25 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="repetitions"):
             plan_from_config(parse_config("repetitions = soon"))
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_empty_knob_rejected(self, key):
+        # a key given empty does not fall back to its default
+        message = re.escape(f"config key {key!r}: invalid value ''")
+        with pytest.raises(ValueError, match=message):
+            plan_from_config(parse_config(f"{key} ="))
+        with pytest.raises(ValueError, match=message):
+            plan_from_config({key: ""})
+
+    @pytest.mark.parametrize("text", ["cbc,", "cbc,,no_fog", " , "])
+    def test_empty_list_item_rejected(self, text):
+        with pytest.raises(ValueError, match="config key 'schemes': invalid value"):
+            plan_from_config({"schemes": text})
+
+    @pytest.mark.parametrize("key", ["topologies", "output_dir"])
+    def test_empty_path_rejected(self, key):
+        with pytest.raises(ValueError, match=f"config key '{key}': empty path"):
+            plan_from_config(parse_config(f"{key} ="))
 
     def test_topology_files_loaded(self, tmp_path):
         path = tmp_path / "line.txt"

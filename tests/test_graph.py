@@ -213,7 +213,7 @@ class TestNextHops:
         rows = {t: cache._rows[t] for t in targets}
         with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
             hops = {t: cache.next_hops(t) for t in targets}
-        assert not cache._sp
+        assert not cache._dist
         assert all(cache._rows[t] is rows[t] for t in targets)
         for t in targets:
             assert list(hops[t]) == [min(p) if p else UNREACHABLE
@@ -233,18 +233,27 @@ class TestPathCacheMiss:
         blocks = [list(call.args[1]) for call in bfs.call_args_list]
         assert blocks == [list(range(32, 64)), list(range(last, n)),
                           list(range(64, 96))]
-        assert cache._sp.keys() == {40, 33, 63, n - 1, last, 75}
-        assert cache._rows.keys() == ({*range(32, 96), *range(last, n)}
-                                      - cache._sp.keys())
+        assert cache._dist.keys() == {40, 33, 63, n - 1, last, 75}
+        assert cache._rows.keys() == {*range(32, 96), *range(last, n)}
+
+    def test_first_row_wins(self):
+        # a miss fills the rows of its block; betweenness, which covers the
+        # block again, keeps them
+        _, topo = default_topologies()[0]
+        cache = PathCache(topo)
+        cache.next_hops(40)
+        rows = dict(cache._rows)
+        assert rows.keys() == set(range(32, 64))
+        betweenness_centrality(topo, cache)
+        assert all(cache._rows[s] is row for s, row in rows.items())
 
     @pytest.mark.parametrize("bad", [-1, -40, 7, 100])
     def test_invalid_source(self, bad):
         cache = PathCache(load_topology("0 1\n1 2\n2 3\n3 4\n4 5\n5 6"))
-        with pytest.raises(ValueError, match=f"invalid source id {bad}"):
-            cache.paths_from(bad)
-        with pytest.raises(ValueError, match=f"invalid source id {bad}"):
-            cache.next_hops(bad)
-        assert not cache._sp and not cache._rows
+        for read in (cache.paths_from, cache.dist_from, cache.next_hops):
+            with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+                read(bad)
+        assert not cache._rows and not cache._dist and not cache._hops
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -277,8 +286,8 @@ class TestPathCacheMiss:
                 mine = []
                 for cache in caches:
                     barrier.wait()
-                    mine.append([(cache.paths_from(s), cache.next_hops(s))
-                                 for s in sources])
+                    mine.append([(cache.paths_from(s), cache.dist_from(s),
+                                  cache.next_hops(s)) for s in sources])
                 read.append(mine)
             except Exception as exc:  # reported by the main thread
                 barrier.abort()
@@ -300,10 +309,12 @@ class TestPathCacheMiss:
             expected = python_bfs(topo, s)
             preds = [min(p) if p else UNREACHABLE for p in oracle_preds(topo, s)]
             for i, cache in enumerate(caches):
-                sp, hops = cache.paths_from(s), cache.next_hops(s)
-                assert sp == expected and list(hops) == preds
-                assert all(mine[i][s][0] is sp and mine[i][s][1] is hops
-                           for mine in read)
+                dist, hops = cache.dist_from(s), cache.next_hops(s)
+                assert dist == expected.dist and list(hops) == preds
+                for mine in read:
+                    sp, their_dist, their_hops = mine[i][s]
+                    assert sp == expected and sp.dist is dist
+                    assert their_dist is dist and their_hops is hops
 
 
 class TestConnectedComponents:

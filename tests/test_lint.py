@@ -168,3 +168,11 @@ def test_one_bfs_engine(path):
     source = path.read_text()
     assert calls_to(source, "bfs_shortest_paths") == []
     assert defines(source, "bfs_shortest_paths") == (path.name == "graph.py")
+
+
+# routing reads only the memoized distances and next hops: it never builds
+# a source's σ and BFS order tuples
+def test_routing_reads_no_paths_from():
+    source = (PACKAGE / "simulator.py").read_text()
+    assert calls_to(source, "paths_from") == []
+    assert calls_to(source, "dist_from") and calls_to(source, "next_hops")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,7 +354,7 @@ class TestPathCacheReuse:
         run_simulation(topo, assignment, roles, workload, path_cache=cache)
         assert sorted(blocks) == [list(range(s, min(s + _BATCH, n)))
                                   for s in sorted(starts)]
-        assert cache._sp.keys() == consumers
+        assert cache._dist.keys() == consumers
         assert cache._hops.keys() == servers
 
     def test_second_run_builds_nothing(self, monkeypatch):
@@ -361,16 +362,26 @@ class TestPathCacheReuse:
         cache = PathCache(topo)
         first = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
-        entries, hops = dict(cache._sp), dict(cache._hops)
+        dists, hops = dict(cache._dist), dict(cache._hops)
         blocks = self.count_bfs(monkeypatch)
         again = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
         assert again == first
         assert blocks == []
-        assert cache._sp.keys() == entries.keys()
-        assert all(cache._sp[s] is entries[s] for s in entries)
+        assert cache._dist.keys() == dists.keys()
+        assert all(cache._dist[s] is dists[s] for s in dists)
         assert cache._hops.keys() == hops.keys()
         assert all(cache._hops[t] is hops[t] for t in hops)
+
+    @pytest.mark.parametrize("lru", [False, True])
+    def test_routing_never_calls_paths_from(self, monkeypatch, lru):
+        # routing reads distances and next hops only, never σ or BFS order
+        topo, assignment, roles, workload = self.cell()
+        expected = run_simulation(topo, assignment, roles, workload, lru)
+        monkeypatch.setattr(PathCache, "paths_from",
+                            mock.Mock(side_effect=AssertionError))
+        assert run_simulation(topo, assignment, roles, workload, lru,
+                              PathCache(topo)) == expected
 
 
 class TestMetrics:
