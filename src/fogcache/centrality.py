@@ -175,20 +175,47 @@ class ReplicationPolicy:
         return range(common), unique, range(bounds[-1], self.catalog_size)
 
 
-def _serve(weights: list[float], sp: ShortestPathData, holders, size: int) -> None:
-    """Route ``size`` interests from the BFS source to its nearest reachable
-    ``holders``: the equidistant nearest ones split them by their share of
-    shortest paths, size·σ_t/Σσ onto each such holder t.  Nothing is added
-    when no holder is reachable; a holder listed twice counts once."""
-    dist, sigma = sp.dist, sp.sigma
-    reachable = {h for h in holders if dist[h] != UNREACHABLE}
-    if not reachable:
-        return
-    best = min(dist[h] for h in reachable)
-    nearest = [h for h in reachable if dist[h] == best]
-    total = sum(sigma[t] for t in nearest)
-    for t in nearest:
-        weights[t] += size * sigma[t] / total
+def _cbc(kind: str, topology: Topology, consumers, classes,
+         cache: PathCache | None) -> CentralityScores:
+    """Route each consumer's interests for every ``(holders, size)`` class to
+    the class's nearest reachable holders, listed once each, and score the
+    shortest paths they take with :func:`_accumulate`.  A single nearest
+    holder gets the whole size in its tally, a sum of whole sizes and so
+    exact in a float below 2^53 items; equidistant nearest ones split it,
+    size·σ_t/Σσ onto each such holder t, and a node's split shares are
+    summed in class order before its tally is added.  No reachable holder
+    adds nothing."""
+    n = topology.node_count
+    cache = cache or PathCache(topology)
+    raw = [0.0] * n
+    for u in sorted(set(consumers)):
+        if not 0 <= u < n:
+            raise ValueError(f"invalid consumer id {u}")
+        sp = cache.paths_from(u)
+        dist, sigma = sp.dist, sp.sigma
+        weights = [0.0] * n  # whole-class tallies
+        shares: dict[int, float] = {}
+        for holders, size in classes:
+            best, nearest = n, None  # n: farther than any reachable holder
+            for h in holders:
+                d = dist[h]
+                if d == UNREACHABLE or d > best:
+                    continue
+                if d < best:
+                    best, total, nearest = d, sigma[h], h
+                else:
+                    total += sigma[h]
+                    nearest = None
+            if nearest is not None:
+                weights[nearest] += size
+            elif best < n:
+                for h in holders:
+                    if dist[h] == best:
+                        shares[h] = shares.get(h, 0.0) + size * sigma[h] / total
+        for t, share in shares.items():
+            weights[t] = share + weights[t]
+        _accumulate(raw, topology, sp, weights)
+    return _scores(kind, raw)
 
 
 def cbc_exact(topology: Topology, consumers, placement, catalog_size: int,
@@ -202,7 +229,6 @@ def cbc_exact(topology: Topology, consumers, placement, catalog_size: int,
     consumer holds the item, or no holder is reachable, contribute zero.
     """
     n = topology.node_count
-    cache = cache or PathCache(topology)
     holders_by_item: dict[int, set[int]] = {}
     for node, items in placement.items():
         if not 0 <= node < n:
@@ -215,16 +241,7 @@ def cbc_exact(topology: Topology, consumers, placement, catalog_size: int,
     # items with the same holder set are routed alike: count them together
     groups = Counter(frozenset(holders_by_item.get(item, ())) | {origin}
                      for item in range(catalog_size))
-    raw = [0.0] * n
-    for u in sorted(set(consumers)):
-        if not 0 <= u < n:
-            raise ValueError(f"invalid consumer id {u}")
-        sp = cache.paths_from(u)
-        weights = [0.0] * n
-        for holders, count in groups.items():
-            _serve(weights, sp, holders, count)
-        _accumulate(raw, topology, sp, weights)
-    return _scores("cbc_exact", raw)
+    return _cbc("cbc_exact", topology, consumers, groups.items(), cache)
 
 
 def cbc_replication(topology: Topology, consumers, policy: ReplicationPolicy,
@@ -238,40 +255,17 @@ def cbc_replication(topology: Topology, consumers, policy: ReplicationPolicy,
     so the result equals :func:`cbc_exact` on any concrete placement realizing
     the same classes.
     """
-    n = topology.node_count
-    cache = cache or PathCache(topology)
     caching_order = list(dict.fromkeys(caching_nodes))
     for w in caching_order:
-        if not 0 <= w < n:
+        if not 0 <= w < topology.node_count:
             raise ValueError(f"invalid caching node id {w}")
-    common, unique, miss = policy.layout(caching_order)
     origin = topology.origin
-    common_holders = (*caching_order, origin)
-    raw = [0.0] * n
-    for u in sorted(set(consumers)):
-        if not 0 <= u < n:
-            raise ValueError(f"invalid consumer id {u}")
-        sp = cache.paths_from(u)
-        d_origin = sp.dist[origin]
-        weights = [0.0] * n
-        if common:
-            _serve(weights, sp, common_holders, len(common))
-        # a unique class is served by the nearer of its node and the origin
-        # (split when equidistant); origin-served ones join the miss class
-        origin_weight = len(miss)
-        for w, ranks in unique.items():
-            if not ranks:
-                continue
-            dw = sp.dist[w]
-            if dw == UNREACHABLE or (d_origin != UNREACHABLE and d_origin < dw):
-                origin_weight += len(ranks)
-            elif dw == d_origin:
-                _serve(weights, sp, (w, origin), len(ranks))
-            else:
-                weights[w] += len(ranks)
-        weights[origin] += origin_weight  # never read if the origin is unreachable
-        _accumulate(raw, topology, sp, weights)
-    return _scores("cbc_replication", raw)
+    common, unique, miss = policy.layout(caching_order)
+    classes = [((*caching_order, origin), common),
+               *(((w, origin), ranks) for w, ranks in unique.items()),
+               ((origin,), miss)]
+    return _cbc("cbc_replication", topology, consumers,
+                [(tuple(dict.fromkeys(h)), len(r)) for h, r in classes if r], cache)
 
 
 def concretize_classes(policy: ReplicationPolicy, caching_nodes) -> dict[int, set[int]]:

@@ -256,6 +256,8 @@ class PathCache:
         # a child sums at most max-degree parent counts
         limit = _INT64_MAX // max(1, int(degree.max()))
         sources = list(sources)
+        if not sources:
+            raise ValueError("bfs_levels needs at least one source")
         for s in sources:
             if not 0 <= s < n:
                 raise ValueError(f"invalid source id {s}")

@@ -43,7 +43,11 @@ def place_fog(scores: CentralityScores, caching_nodes,
     Fill stops when the catalog is exhausted; late fog nodes may keep spare
     unique capacity empty.  No caching nodes give an empty fog.
     """
-    order = sorted(set(caching_nodes), key=lambda v: (-scores.raw[v], v))
+    caching = set(caching_nodes)
+    for v in caching:
+        if not 0 <= v < len(scores.raw):
+            raise ValueError(f"invalid caching node id {v}")
+    order = sorted(caching, key=lambda v: (-scores.raw[v], v))
     common, unique, _ = policy.layout(order)
     common = tuple(common)
     return CacheAssignment(scheme="fog", common_parts={v: common for v in order},

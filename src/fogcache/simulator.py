@@ -100,6 +100,9 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
     and forward counts are added after the loop, one walk per distinct
     route."""
     n = topology.node_count
+    for v in assignment.nodes():
+        if not 0 <= v < n:
+            raise ValueError(f"assignment references unknown node {v}")
     cache = path_cache or PathCache(topology)
     consumer_set = set(roles.consumers)
     holders: dict[int, set[int]] = assignment.holders_by_item()

@@ -442,6 +442,33 @@ class TestReplicationPolicy:
         assert len(miss) == 0
 
 
+@st.composite
+def replica_cells(draw):
+    """Small snapshots, often disconnected, with a caching list that may
+    repeat ids (``repeat``) and hold the origin (``at_origin``), and a
+    policy whose buffer may exceed the catalog or leave the trailing unique
+    classes trimmed or empty."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    # sparse graphs put the nearest holders beyond the consumer's neighbours
+    p = draw(st.sampled_from((0.15, 0.25, 0.4)))
+    topo = from_edges(random_edge_set(rng, n, p), nodes=range(n),
+                      origin_spec=rng.randrange(n))
+    share = draw(st.sampled_from((0.2, 0.5)))
+    caching = [v for v in range(n) if rng.random() < share]
+    rng.shuffle(caching)
+    if draw(st.booleans()):  # repeat
+        caching += rng.sample(caching, len(caching) // 2)
+    if draw(st.booleans()):  # at_origin
+        caching.insert(rng.randint(0, len(caching)), topo.origin)
+    consumers = [v for v in range(n) if rng.random() < 0.6]
+    catalog = draw(st.integers(min_value=1, max_value=8))
+    policy = ReplicationPolicy(alpha=draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
+                               buffer_items=draw(st.integers(1, catalog + 3)),
+                               catalog_size=catalog)
+    return topo, consumers, policy, caching
+
+
 class TestCbcReplication:
     def test_no_caching_nodes_reduces_to_miss_only(self):
         topo = load_topology(PATH3, origin_spec=2)
@@ -474,6 +501,21 @@ class TestCbcReplication:
         repl = cbc_replication(topo, [0], policy, [2, 4]).raw
         assert repl == (0.0, 0.5, 0.0, 0.5, 0.0)
         assert repl == cbc_exact(topo, [0], concretize_classes(policy, [2, 4]), 1).raw
+
+    def test_split_shares_summed_before_whole_class_tally(self):
+        # consumer 0 reaches the origin 3 over two paths and the caching
+        # nodes 4 and 5 over one each, all at distance 2; 6 lies beyond 4.
+        # The origin serves 6's unique item and the 7 missed ones whole and
+        # takes 2/3 of 4's and of 5's, so each middle node scores exactly
+        # (2/3 + 2/3 + 8) / 2 + 1/3 = 5.  Summed in class order instead,
+        # 1 + 2/3 + 2/3 + 7, they would score 4.999999999999999.
+        topo = from_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 5), (4, 6)],
+                          origin_spec=3)
+        policy = ReplicationPolicy(alpha=0.0, buffer_items=1, catalog_size=10)
+        caching = [6, 4, 5]
+        expected = (0.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0)
+        assert cbc_replication(topo, [0], policy, caching).raw == expected
+        assert cbc_exact(topo, [0], concretize_classes(policy, caching), 10).raw == expected
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_invalid_consumer_rejected(self, bad):
@@ -512,3 +554,14 @@ class TestCbcReplication:
         exact = cbc_exact(topo, consumers,
                           concretize_classes(policy, caching), catalog).raw
         assert all(abs(a - b_) < 1e-9 for a, b_ in zip(repl, exact))
+
+    # cbc_exact runs the same pass, so path enumeration checks the classes
+    @settings(max_examples=150, deadline=None)
+    @given(replica_cells())
+    def test_matches_naive_oracle(self, cell):
+        topo, consumers, policy, caching = cell
+        repl = cbc_replication(topo, consumers, policy, caching).raw
+        expected = naive_cbc(topo, consumers, concretize_classes(policy, caching),
+                             policy.catalog_size)
+        assert len(repl) == len(expected)
+        assert all(abs(a - b) < 1e-9 for a, b in zip(repl, expected))

@@ -160,6 +160,10 @@ class TestBfsShortestPaths:
         with pytest.raises(ValueError, match=f"invalid source id {bad}"):
             PathCache(load_topology("0 1")).bfs_levels([0, bad])
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            PathCache(load_topology("0 1")).bfs_levels([])
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
     def test_sigma_matches_enumeration(self, topo):

@@ -170,6 +170,26 @@ def test_one_bfs_engine(path):
     assert defines(source, "bfs_shortest_paths") == (path.name == "graph.py")
 
 
+def name_lines(source: str, name: str) -> list[int]:
+    """Lines that read or bind the bare name ``name`` (imports aside)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == name})
+
+
+def test_detects_name():
+    assert name_lines("a = b\nc = a + a\nd.a = 1\n", "a") == [1, 2]
+
+
+# both CBC forms run one consumer pass: one BFS read, one accumulation and
+# one nearest-holder test, the only check for unreachable holders
+def test_one_cbc_pass():
+    source = (PACKAGE / "centrality.py").read_text()
+    assert len(calls_to(source, "paths_from")) == 1
+    assert len(calls_to(source, "_accumulate")) == 1
+    assert len(name_lines(source, "UNREACHABLE")) == 1
+    assert not defines(source, "_serve")
+
+
 # routing reads only the memoized distances and next hops: it never builds
 # a source's σ and BFS order tuples
 def test_routing_reads_no_paths_from():

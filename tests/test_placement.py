@@ -115,6 +115,14 @@ class TestPlaceFog:
         assert assignment.fog == ()
         assert assignment.nodes() == []
 
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    def test_unknown_caching_node_rejected(self, bad):
+        # read as an index, -1 would join the fog with the last node's score
+        topo = line_topology(4)
+        scores = scores_for(topo, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match=f"invalid caching node id {bad}"):
+            place_fog(scores, [bad, 1], ReplicationPolicy(0.5, 2, 10))
+
 
 @st.composite
 def sparse_cells(draw):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.centrality import ReplicationPolicy
 from fogcache.graph import _BATCH, PathCache, from_edges
-from fogcache.placement import CacheAssignment, place_greedy_popular
+from fogcache.placement import (CacheAssignment, place_greedy_popular,
+                                place_noncollaborative)
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
                                 pooled_hit_rate, run_simulation, success_rate,
                                 SimMetrics)
@@ -259,6 +260,17 @@ class TestRunSimulation:
             run_simulation(line_topology(3), static_assignment({}),
                            roles_of([0], [1]), workload_of([(0, -1)]),
                            lru_enabled=lru)
+
+    @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("bad", [-2, 4])
+    def test_assignment_node_outside_topology_rejected(self, lru, bad):
+        # rejected before any route is read: as an index, -2 would read the
+        # distance of node 2
+        assignment = place_noncollaborative([bad], ReplicationPolicy(0.5, 2, 10))
+        with mock.patch.object(PathCache, "dist_from", side_effect=AssertionError), \
+                pytest.raises(ValueError, match=f"assignment references unknown node {bad}"):
+            run_simulation(line_topology(4), assignment, roles_of([0], [1]),
+                           workload_of([(0, 0)]), lru_enabled=lru)
 
     @pytest.mark.parametrize("lru", [False, True])
     @settings(max_examples=150, deadline=None)
