@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import experiment as exp
-from .centrality import ReplicationPolicy, export_scores_csv
+from .centrality import PowerIterationError, ReplicationPolicy, export_scores_csv
 from .graph import PathCache, connected_components, load_topology, serialize_topology
 from .placement import export_assignment_csv
 from .synthetic import KINDS, generate_synthetic_topology
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except OSError as error:
+    except (OSError, PowerIterationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:  # noqa: BLE001 - CLI boundary

@@ -246,7 +246,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
     """
     indices = range(len(plan.topologies))
     if plan.workers > 1 and len(plan.topologies) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(indices))) as pool:
             per_topology = list(pool.map(_run_topology, [plan] * len(plan.topologies),
                                          indices))
     else:

@@ -1,8 +1,13 @@
 import gc
 import math
+import os
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
-from itertools import count
+from itertools import combinations, count
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -53,6 +58,47 @@ def branching_chain(seed):
         edges += [(v, next(fresh)) for v in (hub, *middles) if rng.random() < 0.2]
         hub = end
     return from_edges(edges, origin_spec=hub)
+
+
+def connected_topology(seed, max_nodes=14):
+    """A random spanning tree on 3 to ``max_nodes`` nodes plus random chords."""
+    rng = random.Random(seed)
+    n = rng.randint(3, max_nodes)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    return from_edges(tree + random_edge_set(rng, n, p=0.2))
+
+
+def shifted_spectrum(topo):
+    """λ2/λ1 of A + I as power iteration sees it (the largest other
+    eigenvalue magnitude over the dominant one) and the dominant unit
+    eigenvector, by LAPACK."""
+    a = np.eye(topo.node_count)
+    for u, v in topo.edges():
+        a[u, v] = a[v, u] = 1.0
+    values, vectors = np.linalg.eigh(a)
+    return max(abs(values[:-1])) / values[-1], np.abs(vectors[:, -1])
+
+
+def openblas_on_x86() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return False
+    return "openblas" in blas.lower() and platform.machine() in ("x86_64", "AMD64")
+
+
+# eigenvector ``raw`` of topology1 and a small geometric graph, hashed in a
+# child process whose OpenBLAS kernel the caller picks
+_EIGENVECTOR_HASH = """
+import hashlib
+from fogcache.centrality import eigenvector_centrality
+from fogcache.experiment import default_topologies
+from fogcache.synthetic import generate_synthetic_topology
+graphs = (default_topologies()[0][1],
+          generate_synthetic_topology("geometric", 60, 0.25, 3))
+raw = [eigenvector_centrality(g).raw for g in graphs]
+print(hashlib.sha256(repr(raw).encode()).hexdigest())
+"""
 
 
 def assert_batched_betweenness(topo, precached=()):
@@ -319,6 +365,58 @@ class TestEigenvector:
         topo = from_edges([], nodes=[0, 1])
         with pytest.raises(ValueError, match="empty-edge"):
             eigenvector_centrality(topo)
+
+    def test_small_spectral_gap_converges(self):
+        # K6 on 0-5 and K6 on 6-11 joined by the path 0-12-13-14-6, with a
+        # leaf 15 on node 12: λ2/λ1 = 0.99942 asks for 18 708 steps
+        edges = [*combinations(range(6), 2), *combinations(range(6, 12), 2),
+                 (0, 12), (12, 13), (13, 14), (14, 6), (12, 15)]
+        topo = from_edges(edges)
+        r, expected = shifted_spectrum(topo)
+        assert 0.999 < r < 0.9995
+        tol = 1e-9
+        raw = np.array(eigenvector_centrality(topo, tol=tol).raw)
+        assert np.max(np.abs(raw - expected)) < 10 * tol / (1 - r)
+
+    @pytest.mark.skipif(not openblas_on_x86(), reason="needs OpenBLAS on x86-64")
+    def test_bits_do_not_depend_on_blas_kernel(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        hashes = set()
+        for kernel in ("Haswell", "Prescott"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            run = subprocess.run([sys.executable, "-c", _EIGENVECTOR_HASH],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            hashes.add(run.stdout.strip())
+        assert len(hashes) == 1
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_closed_twins_score_bit_equal(self, index):
+        # the closed-neighbourhood sum adds a twin's terms in one order
+        _, topo = default_topologies()[index]
+        raw = eigenvector_centrality(topo).raw
+        twins = {}
+        for v, adj in enumerate(topo.adjacency):
+            twins.setdefault(tuple(sorted((v, *adj))), []).append(v)
+        groups = [g for g in twins.values() if len(g) > 1]
+        assert groups
+        for group in groups:
+            assert len({raw[v] for v in group}) == 1
+
+    @given(st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_networkx(self, seed):
+        nx = pytest.importorskip("networkx")
+        topo = connected_topology(seed)
+        graph = nx.Graph(topo.edges())
+        expected = nx.eigenvector_centrality_numpy(graph)
+        r, _ = shifted_spectrum(topo)
+        tol = 1e-9
+        raw = eigenvector_centrality(topo, tol=tol).raw
+        assert max(abs(raw[v] - expected[v]) for v in range(topo.node_count)) \
+            < 10 * tol / (1 - r)
 
 
 class TestNormalizeMinmax:

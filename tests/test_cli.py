@@ -89,6 +89,21 @@ class TestAnalysisCommands:
         assert lines[0] == "node_id,kind,raw,normalized"
         assert len(lines) == 21
 
+    def test_unconverged_eigenvector_is_runtime_error(self, tmp_path, capsys):
+        # K8 on 0-7 and K8 on 8-15 joined by the path 0-16-17-18-8, with a
+        # leaf 19 on node 16: power iteration needs 81 220 steps, past the
+        # default budget
+        edges = [(a, b) for k in (0, 8) for a in range(k, k + 8)
+                 for b in range(a + 1, k + 8)]
+        edges += [(0, 16), (16, 17), (17, 18), (18, 8), (16, 19)]
+        path = tmp_path / "bridge.txt"
+        path.write_text("".join(f"{a} {b}\n" for a, b in edges))
+        assert main(["centrality", "--kind", "eigenvector",
+                     "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: power iteration did not converge")
+        assert "internal error" not in err
+
     def test_cbc_centrality_runs(self, line_file, capsys):
         assert main(["centrality", "--kind", "cbc",
                      "--topology", str(line_file)]) == 0

@@ -320,6 +320,31 @@ class TestRunExperiment:
         assert table_to_csv(run_experiment(serial)) == table_to_csv(
             run_experiment(parallel))
 
+    def test_pool_never_wider_than_topology_list(self, monkeypatch):
+        # the fork start method launches every worker up front, so a wider
+        # pool would fork processes that never get a topology
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        topologies = (("a", small_topology(1)), ("b", small_topology(2)))
+        wide = run_experiment(tiny_plan(topologies=topologies, workers=64))
+        assert opened == [2]
+        assert table_to_csv(wide) == table_to_csv(
+            run_experiment(tiny_plan(topologies=topologies, workers=1)))
+
     def test_adding_scheme_keeps_other_cells(self):
         base = run_experiment(tiny_plan(schemes=("cbc",)))
         wider = run_experiment(tiny_plan(schemes=("cbc", "betweenness")))

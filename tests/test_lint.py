@@ -196,3 +196,35 @@ def test_routing_reads_no_paths_from():
     source = (PACKAGE / "simulator.py").read_text()
     assert calls_to(source, "paths_from") == []
     assert calls_to(source, "dist_from") and calls_to(source, "next_hops")
+
+
+def blas_uses(source: str) -> list[int]:
+    """Lines that reach a BLAS kernel through numpy: a ``@`` matmul, any
+    ``linalg`` name or import, or a ``dot``, ``matmul`` or ``inner`` call."""
+    lines = [line for name in ("dot", "matmul", "inner")
+             for line in calls_to(source, name)]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None), *(a.name for a in node.names)]
+        else:
+            names = [getattr(node, "attr", None), getattr(node, "id", None)]
+        if (isinstance(getattr(node, "op", None), ast.MatMult)
+                or any("linalg" in name for name in names if name)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_detects_blas_use():
+    source = ("import numpy as np\nfrom numpy import linalg\n"
+              "y = a @ x\ny @= a\nn = np.linalg.norm(y)\n"
+              "d = np.dot(a, b)\ne = a.dot(b)\nf = np.matmul(a, b)\n"
+              "g = np.inner(a, b)\nfrom numpy.linalg import norm\n"
+              "import numpy.linalg\nh = np.bincount(a, weights=b)\n")
+    assert blas_uses(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]
+
+
+# eigenvector centrality sums over the adjacency lists, so no score's bits
+# depend on which BLAS kernel numpy loaded
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_blas_in_src(path):
+    assert blas_uses(path.read_text()) == []
