@@ -99,7 +99,9 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("centrality", "place", "simulate"):
-        plan, _ = exp.plan_from_config({**_overrides(args),
+        # only `simulate` reads the cell's interests, so only it draws them
+        drawn = {} if args.command == "simulate" else {"interests": "0"}
+        plan, _ = exp.plan_from_config({**_overrides(args), **drawn,
                                         "topologies": [args.topology],
                                         "schemes": args.scheme,
                                         "alphas": str(args.alpha)})
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except (OSError, PowerIterationError) as error:
+    except (OSError, OverflowError, PowerIterationError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except Exception as error:  # noqa: BLE001 - CLI boundary

@@ -235,7 +235,8 @@ class PathCache:
         self._rows: dict[int, tuple[np.ndarray, ...]] = {}
         self._dist: dict[int, tuple[int, ...]] = {}
         self._hops: dict[int, array] = {}
-        # CSR copy of the adjacency for batched BFS, and one int per node id
+        # CSR copy of the adjacency for batched BFS, and one int per node id:
+        # taking from it builds the order tuples faster than boxing each id
         adjacency = topology.adjacency
         self._indptr = np.cumsum([0, *map(len, adjacency)])
         self._indices = np.fromiter(chain.from_iterable(adjacency), np.int64,
@@ -306,9 +307,8 @@ class PathCache:
         compact numpy rows for :meth:`paths_from` to build its tuples from:
         ``dist`` in the narrowest signed dtype for the level count, the BFS
         ``order`` in the narrowest dtype for n, and σ as an index row into the
-        batch's object array of distinct path counts.  So the tuples share one
-        int object per node id and, within the batch, one per distinct path
-        count."""
+        batch's sorted distinct path counts, int64 unless the batch's counts
+        went on as Python ints."""
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
         dist = np.full(len(sources) * n, UNREACHABLE,
@@ -320,7 +320,6 @@ class PathCache:
                                   return_inverse=True)
         sigma = np.zeros(len(sources) * n, dtype=np.min_scalar_type(values.size))
         sigma[keys] = index[1:]
-        values = np.array(values.tolist(), dtype=object)
         # group the keys by source, keeping each source's BFS order
         batch = keys // n
         by_source = np.argsort(batch.astype(np.min_scalar_type(len(sources))),

@@ -20,8 +20,8 @@ from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
                                  concretize_classes, degree_centrality,
                                  eigenvector_centrality, normalize_minmax)
 from fogcache.experiment import default_topologies
-from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, ShortestPathData,
-                            from_edges, load_topology)
+from fogcache.graph import (_BATCH, _INT64_MAX, UNREACHABLE, PathCache,
+                            ShortestPathData, from_edges, load_topology)
 from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
                      per_source_betweenness, plain_bfs_dist, python_bfs,
                      random_edge_set)
@@ -114,8 +114,11 @@ def assert_batched_betweenness(topo, precached=()):
     # every source has a compact row, and a row stored earlier is the same object
     assert cache._rows.keys() == set(range(topo.node_count))
     assert all(cache._rows[s] is row for s, row in before.items())
-    for dist, _, sigma, order in cache._rows.values():
+    limit = _INT64_MAX // max(1, *map(len, topo.adjacency))
+    for dist, values, sigma, order in cache._rows.values():
         assert dist.dtype in (np.int8, np.int16) and sigma.dtype.kind == "u"
+        # counts are boxed only in a batch whose BFS went on in Python ints
+        assert values.dtype == np.int64 or max(values) > limit
         assert order.dtype == np.min_scalar_type(topo.node_count)
     # every source is cached now: a lookup that ran a BFS would raise
     with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
@@ -287,13 +290,24 @@ class TestLazyRows:
         cache = PathCache(topo)
         betweenness_centrality(topo, cache)
         # hubs h and h + 3 share a batch and reach hubs h + 3i and h + 3i + 3
-        # over 2^i paths; the first batch's counts pass int64, the fourth's
-        # do not
+        # over 2^i paths; the first batch's counts pass int64 and stay boxed,
+        # the fourth's do not and stay int64
+        assert cache._rows[0][1].dtype == object
+        assert cache._rows[96][1].dtype == np.int64
         for h, i in ((0, 10), (0, 64), (96, 10)):
             a, b = cache.paths_from(h), cache.paths_from(h + 3)
-            assert a.sigma[h + 3 * i] == 2 ** i
-            assert a.sigma[h + 3 * i] is b.sigma[h + 3 * i + 3]
+            assert a.sigma[h + 3 * i] == b.sigma[h + 3 * i + 3] == 2 ** i
+            if h < 96:
+                assert a.sigma[h + 3 * i] is b.sigma[h + 3 * i + 3]
             assert a.order[-1] == 270 and a.order[-1] is b.order[-1]
+
+    def test_default_topology_rows_hold_no_objects(self):
+        # their path counts fit int64, so no stored row boxes them
+        for _, topo in default_topologies():
+            cache = PathCache(topo)
+            betweenness_centrality(topo, cache)
+            assert all(array.dtype != object
+                       for row in cache._rows.values() for array in row)
 
     def test_reads_keep_only_distance_tuples(self):
         _, topo = default_topologies()[0]

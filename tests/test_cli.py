@@ -181,6 +181,42 @@ class TestAnalysisCommands:
         assert "repetition must be >= 0, got -1" in captured.err
 
 
+    @pytest.mark.parametrize("command,flag,name", [
+        ("centrality", "--kind", "degree"), ("centrality", "--kind", "cbc"),
+        ("place", "--scheme", "no_fog"), ("place", "--scheme", "cbc")])
+    def test_no_consumers_draws_no_interests(self, command, flag, name,
+                                             line_file, capsys):
+        # centrality and place never read the cell's interests
+        assert main([command, flag, name, "--topology", str(line_file),
+                     "--consumer-frac", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) > 1
+        if command == "centrality":
+            assert len(lines) == 21
+            if name == "cbc":  # no consumer, no demand
+                assert {line.split(",")[2] for line in lines[1:]} == {"0"}
+
+    def test_simulate_without_consumers_needs_no_interests(self, line_file,
+                                                          capsys):
+        args = ["simulate", "--topology", str(line_file), "--consumer-frac", "0"]
+        assert main(args) == 1
+        assert "empty consumer set" in capsys.readouterr().err
+        assert main([*args, "--interests", "0"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert int(row[CSV_COLUMNS.index("generated")]) == 0
+
+    def test_path_counts_past_float_range_are_runtime_error(self, tmp_path,
+                                                           capsys):
+        # 1030 diamonds in a row: 2^1030 shortest paths end to end, past the
+        # largest float betweenness can divide by
+        path = tmp_path / "diamonds.txt"
+        path.write_text("".join(f"{h} {h + d}\n{h + d} {h + 3}\n"
+                                for h in range(0, 3 * 1030, 3) for d in (1, 2)))
+        assert main(["centrality", "--kind", "betweenness",
+                     "--topology", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: int too large to convert to float")
+
     @pytest.mark.parametrize("command,key",
                              [(c, k) for c in ("centrality", "place", "simulate")
                               for k in _CELL_KNOBS] + [("simulate", "interests")])
