@@ -1,7 +1,6 @@
 """Connectivity graph: edge-list ingestion, BFS path counting, components."""
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -216,31 +215,32 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 class PathCache:
     """Per-source BFS results (distances, path counts and visitation order)
-    and per-target next-hop arrays for one immutable topology.
+    and per-target next-hop trees for one immutable topology.
 
     Every BFS runs through :meth:`bfs_levels` and stays as compact numpy rows
     for the cache's lifetime: betweenness leaves every source's, batch by
     batch, and a read of a source without a row runs the aligned block of
     ``_BATCH`` ids that holds it.  :meth:`paths_from` builds a source's tuples
-    from its row on each call; the two reads routing repeats are memoized,
-    :meth:`dist_from` per source and :meth:`next_hops` per target.  Rows and
-    memos are never replaced (``dict.setdefault``), so concurrent readers
-    under the GIL are safe: racing readers of one source get the same
-    objects.
+    from its row on each call.  Routing reads memoized read-only views:
+    :meth:`dist_from` a source's ``dist`` row in place, :meth:`next_hops` a
+    target's tree, built in numpy.  Rows and memos are never replaced
+    (``dict.setdefault``), so concurrent readers under the GIL are safe:
+    racing readers of one source get the same objects.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        # per-source BFS rows (see _store) and distance tuples
+        # per-source BFS rows (see _store) and routing's read-only views
         self._rows: dict[int, tuple[np.ndarray, ...]] = {}
-        self._dist: dict[int, tuple[int, ...]] = {}
-        self._hops: dict[int, array] = {}
-        # CSR copy of the adjacency for batched BFS, and one int per node id:
+        self._dist: dict[int, memoryview] = {}
+        self._hops: dict[int, memoryview] = {}
+        # CSR adjacency (with each entry's tail), and one int per node id:
         # taking from it builds the order tuples faster than boxing each id
         adjacency = topology.adjacency
         self._indptr = np.cumsum([0, *map(len, adjacency)])
         self._indices = np.fromiter(chain.from_iterable(adjacency), np.int64,
                                     count=self._indptr[-1])
+        self._tails = np.repeat(np.arange(len(adjacency)), np.diff(self._indptr))
         self._ids = np.arange(len(adjacency)).astype(object)
 
     def bfs_levels(self, sources) -> list[BFSLevel]:
@@ -340,33 +340,31 @@ class PathCache:
             self.bfs_levels(range(start, min(start + _BATCH, n)))
         return self._rows[source]
 
-    def dist_from(self, source: int) -> tuple[int, ...]:
-        """Memoized hop distances from ``source``, UNREACHABLE where no path."""
+    def dist_from(self, source: int) -> memoryview:
+        """Memoized read-only view of the hop distances from ``source`` in
+        its stored row, UNREACHABLE where no path."""
         if source not in self._dist:
-            self._dist.setdefault(source, tuple(self._row(source)[0].tolist()))
+            self._dist.setdefault(source, memoryview(self._row(source)[0]).toreadonly())
         return self._dist[source]
 
     def paths_from(self, source: int) -> ShortestPathData:
         """The BFS of ``source``, built from its row on each call."""
-        _, values, sigma, order = self._row(source)
-        return ShortestPathData(dist=self.dist_from(source),
+        dist, values, sigma, order = self._row(source)
+        return ShortestPathData(dist=tuple(dist.tolist()),
                                 sigma=tuple(values.take(sigma).tolist()),
                                 order=tuple(self._ids.take(order).tolist()))
 
-    def next_hops(self, target: int) -> array:
-        """Routing tree toward ``target``: entry v is the smallest-id
-        neighbour of v one hop closer to ``target``, or UNREACHABLE where
-        there is none (``target`` itself and nodes it cannot reach)."""
+    def next_hops(self, target: int) -> memoryview:
+        """Memoized read-only routing tree toward ``target``: entry v is v's
+        smallest-id neighbour one hop closer to ``target``, or UNREACHABLE
+        where there is none (``target`` itself and nodes it cannot reach)."""
         if target not in self._hops:
-            dist = self._row(target)[0].tolist()
-            hops = array("i", [UNREACHABLE]) * len(dist)
-            for v, nbrs in enumerate(self.topology.adjacency):
-                goal = dist[v] - 1
-                if goal < 0:
-                    continue
-                for w in nbrs:  # sorted: first match = smallest id
-                    if dist[w] == goal:
-                        hops[v] = w
-                        break
-            self._hops.setdefault(target, hops)
+            dist = self._row(target)[0]
+            # CSR entries (v, w) with w one hop closer: v ascends, and so does
+            # w within v, so v's first entry holds its smallest-id hop
+            closer = np.flatnonzero(dist.take(self._indices) == dist.take(self._tails) - 1)
+            first = closer.take(np.flatnonzero(np.diff(self._tails.take(closer), prepend=-1)))
+            hops = np.full(dist.size, UNREACHABLE, dtype=np.min_scalar_type(-dist.size))
+            hops[self._tails.take(first)] = self._indices.take(first)
+            self._hops.setdefault(target, memoryview(hops).toreadonly())
         return self._hops[target]

@@ -276,12 +276,13 @@ class TestLazyRows:
         rows = dict(cache._rows)
         assert rows.keys() == set(range(topo.node_count)) and not cache._dist
         # a row read is a hit: it runs no BFS, keeps the row, and memoizes
-        # only its source's distances
+        # only its source's distance view; paths_from memoizes nothing
         with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
             sp = cache.paths_from(40)
-            assert list(cache._dist) == [40]
-            assert cache.dist_from(40) is sp.dist
-            assert cache.paths_from(40).dist is sp.dist
+            assert not cache._dist
+            dist = cache.dist_from(40)
+            assert list(cache._dist) == [40] and cache.dist_from(40) is dist
+            assert list(dist) == list(sp.dist) == list(cache.paths_from(40).dist)
         assert all(cache._rows[s] is row for s, row in rows.items())
         assert sp == python_bfs(topo, 40)
 
@@ -309,7 +310,7 @@ class TestLazyRows:
             assert all(array.dtype != object
                        for row in cache._rows.values() for array in row)
 
-    def test_reads_keep_only_distance_tuples(self):
+    def test_reads_keep_only_distance_views(self):
         _, topo = default_topologies()[0]
         n = topo.node_count
         cache = PathCache(topo)
@@ -336,11 +337,11 @@ class TestLazyRows:
         finally:
             tracemalloc.stop()
         assert [cache.paths_from(s) for s in range(n)] == list(eager.values())
-        assert list(cache._dist.values()) == dists
+        assert list(map(list, cache._dist.values())) == list(map(list, dists))
         assert rows < eager_size / 2
-        # the reads keep one distance tuple per source and no σ or order
-        # tuples, where an eager store keeps all three
-        assert kept - rows <= 1.1 * dist_size
+        # the reads keep one view of each source's stored distance row and no
+        # tuples, where an eager store keeps distance, σ and order tuples
+        assert kept - rows < dist_size / 4
 
 
 class TestEigenvector:

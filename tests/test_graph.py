@@ -233,7 +233,9 @@ class TestPathCacheMiss:
         with mock.patch.object(PathCache, "bfs_levels", autospec=True,
                                side_effect=PathCache.bfs_levels) as bfs:
             for s in (40, 33, 63, n - 1, last, 75):
-                assert cache.paths_from(s) == python_bfs(topo, s)
+                expected = python_bfs(topo, s)
+                assert cache.paths_from(s) == expected
+                assert list(cache.dist_from(s)) == list(expected.dist)
         blocks = [list(call.args[1]) for call in bfs.call_args_list]
         assert blocks == [list(range(32, 64)), list(range(last, n)),
                           list(range(64, 96))]
@@ -314,11 +316,49 @@ class TestPathCacheMiss:
             preds = [min(p) if p else UNREACHABLE for p in oracle_preds(topo, s)]
             for i, cache in enumerate(caches):
                 dist, hops = cache.dist_from(s), cache.next_hops(s)
-                assert dist == expected.dist and list(hops) == preds
+                assert list(dist) == list(expected.dist) and list(hops) == preds
                 for mine in read:
                     sp, their_dist, their_hops = mine[i][s]
-                    assert sp == expected and sp.dist is dist
+                    assert sp == expected
                     assert their_dist is dist and their_hops is hops
+
+
+def two_part_graph():
+    """200 nodes in two components of 100, each a path with random chords."""
+    rng = random.Random(5)
+    edges = []
+    for base in (0, 100):
+        edges += [(base + v, base + v + 1) for v in range(99)]
+        edges += [(base + a, base + b) for a, b in random_edge_set(rng, 100, 0.01)]
+    return from_edges(edges)
+
+
+class TestNarrowViews:
+    # past 128 nodes the next-hop trees are int16, and past 127 hop levels
+    # the distance rows are too; the small graphs above reach neither
+    @pytest.mark.parametrize("topo, dist_size", [
+        (from_edges([(v, v + 1) for v in range(299)]), 2),
+        (two_part_graph(), 1)], ids=["path300", "two_parts200"])
+    def test_reads_match_oracle(self, topo, dist_size):
+        n = topo.node_count
+        adj = adjacency_sets(topo)
+        cache = PathCache(topo)
+        for s in range(n):
+            dist = plain_bfs_dist(adj, s)
+            assert list(cache.dist_from(s)) == [dist.get(v, UNREACHABLE)
+                                                for v in range(n)]
+            assert list(cache.next_hops(s)) == [min(p) if p else UNREACHABLE
+                                                for p in oracle_preds(topo, s)]
+        assert {view.itemsize for view in cache._dist.values()} == {dist_size}
+        assert {view.itemsize for view in cache._hops.values()} == {2}
+
+    def test_views_are_read_only(self):
+        cache = PathCache(from_edges([(v, v + 1) for v in range(299)]))
+        dist, hops = cache.dist_from(0), cache.next_hops(0)
+        for view in (dist, hops):
+            with pytest.raises(TypeError):
+                view[1] = 5
+        assert dist[1] == cache._rows[0][0][1] == 1 and hops[1] == 0
 
 
 class TestConnectedComponents:

@@ -284,12 +284,34 @@ class TestRunSimulation:
     def test_matches_naive_oracle_under_churn(self, lru, case):
         self.check_against_oracle(lru, case)
 
+    @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("shape", ["line300", "tail200"])
+    def test_matches_naive_oracle_past_int8(self, lru, shape):
+        # more than 128 nodes and 127 hop levels: routing reads int16
+        # distance rows and next-hop trees, which simulation_cases never builds
+        rng = random.Random(23)
+        if shape == "line300":
+            topology = line_topology(300)
+        else:  # a random 60-node core with a 140-node path tail
+            edges = random_edge_set(rng, 60, 0.08) + [(v, v + 1) for v in range(59, 199)]
+            topology = from_edges(edges, origin_spec=0)
+        others = [v for v in range(topology.node_count) if v != topology.origin]
+        rng.shuffle(others)
+        consumers, providers = sorted(others[:40]), sorted(others[40:120])
+        caches = {v: tuple(rng.sample(range(4), rng.randint(0, 2))) for v in providers}
+        draws = [(rng.choice(consumers), rng.randrange(4)) for _ in range(400)]
+        cache = PathCache(topology)
+        self.check_against_oracle(lru, (topology, caches, consumers, providers, 2, draws),
+                                  cache)
+        assert 2 in {view.itemsize for view in cache._dist.values()}
+        assert {view.itemsize for view in cache._hops.values()} == {2}
+
     @staticmethod
-    def check_against_oracle(lru, case):
+    def check_against_oracle(lru, case, cache=None):
         topology, caches, consumers, providers, capacity, draws = case
         metrics = run_simulation(topology, static_assignment(caches, capacity),
                                  roles_of(consumers, providers),
-                                 workload_of(draws), lru_enabled=lru)
+                                 workload_of(draws), lru_enabled=lru, path_cache=cache)
         expected = naive_simulation(topology, caches, set(providers), draws,
                                     capacity, lru)
         assert dataclasses.asdict(metrics) == {"providers": tuple(providers),
