@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -12,6 +12,8 @@ _INT64_MAX = 2**63 - 1
 # sources per batched BFS: a batch's arrays grow with it, and larger batches
 # gain little time for the memory (README, "Batched betweenness")
 _BATCH = 32
+# farness ORs a j-th-neighbour slot on its own while it spans this many rows
+_SLOT_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -166,25 +168,53 @@ def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
 
 def farness(topology: Topology) -> tuple[list[int], list[int]]:
     """Per node, the number of other nodes it reaches and the sum of its hop
-    distances to them, from one all-sources BFS over int bitsets (Then et
-    al., VLDB 2014): round k ORs each neighbour's previous reach into a
-    node's reach, and every newly set bit lies at distance k."""
+    distances to them, from one all-sources BFS over packed uint64 bitset
+    rows (Then et al., VLDB 2014): round k ORs each neighbour's previous
+    reach into a node's reach, and every newly set bit lies at distance k.
+
+    Rows are labelled by descending degree, so the rows with a j-th
+    neighbour form a prefix: while that "slot" spans at least
+    ``_SLOT_ROWS`` rows, one gather ORs it in place.  The remaining
+    neighbours of the fewer, larger rows go through ``reduceat`` in runs
+    that gather under 2n rows each, so the numpy calls per round do not grow
+    with the maximum degree."""
     adjacency = topology.adjacency
-    reach = [1 << v for v in range(topology.node_count)]
-    far = [0] * len(reach)
-    k, grew = 0, True
-    while grew:
-        k, grew, new = k + 1, False, []
-        for v, nbrs in enumerate(adjacency):
-            old = cur = reach[v]
-            for w in nbrs:
-                cur |= reach[w]
-            if cur != old:
-                far[v] += k * (cur ^ old).bit_count()
-                grew = True
-            new.append(cur)
-        reach = new
-    return [r.bit_count() - 1 for r in reach], far
+    n = len(adjacency)
+    degree = np.fromiter(map(len, adjacency), np.int64, count=n)
+    perm = np.argsort(-degree, kind="stable")  # row -> node
+    rank = np.argsort(perm)  # node -> row
+    indices = rank.take(np.fromiter(chain.from_iterable(adjacency), np.int64,
+                                    count=int(degree.sum())))
+    starts = (np.cumsum(degree) - degree).take(perm)
+    # rows[j]: how many rows have more than j neighbours (a prefix of rows)
+    rows = n - np.cumsum(np.bincount(degree))
+    cut = int(np.count_nonzero(rows >= _SLOT_ROWS))
+    slots = [indices.take(starts[:rows[j]] + j) for j in range(cut)]
+    big = int(rows[cut])
+    extra = degree.take(perm[:big]) - cut
+    seg = np.cumsum(extra) - extra
+    rest = indices.take(np.repeat(starts[:big] + cut - seg, extra)
+                        + np.arange(int(extra.sum())))
+    bounds = [*np.flatnonzero(np.diff(seg // n, prepend=-1)).tolist(), big]
+    runs = [(a, b, rest[seg[a]:seg[b - 1] + extra[b - 1]], seg[a:b] - seg[a])
+            for a, b in zip(bounds, bounds[1:])]
+    ids = np.arange(n)
+    reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    reach[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    new = np.empty_like(reach)
+    size = np.ones(n, dtype=np.int64)  # bits set per row
+    far = np.zeros(n, dtype=np.int64)
+    for k in count(1):
+        np.copyto(new, reach)
+        for slot in slots:
+            new[:slot.size] |= reach.take(slot, axis=0)
+        for a, b, nbrs, offsets in runs:
+            new[a:b] |= np.bitwise_or.reduceat(reach.take(nbrs, axis=0), offsets, axis=0)
+        grown = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
+        if np.array_equal(grown, size):
+            return (size - 1).take(rank).tolist(), far.take(rank).tolist()
+        far += k * (grown - size)
+        size, reach, new = grown, new, reach
 
 
 def connected_components(topology: Topology) -> list[tuple[int, ...]]:

@@ -66,10 +66,10 @@ class SimMetrics:
 def _choose_server(cache: PathCache, holders, consumer: int):
     """First routing step: the holder nearest to ``consumer``, ties to the
     smaller id, where the origin always holds the item.  Returns
-    ``(served_from, server)``."""
+    ``(served_from, server, hops)``, ``hops`` the server's distance."""
     origin = cache.topology.origin
     if consumer in holders or consumer == origin:
-        return "self", consumer
+        return "self", consumer, 0
     dist = cache.dist_from(consumer)
     best, server = dist[origin], origin
     if best == UNREACHABLE:
@@ -79,8 +79,8 @@ def _choose_server(cache: PathCache, holders, consumer: int):
         if d != UNREACHABLE and (d < best or (d == best and h < server)):
             best, server = d, h
     if server is None:
-        return "none", None
-    return ("origin" if server == origin else "cache"), server
+        return "none", None, None
+    return ("origin" if server == origin else "cache"), server, best
 
 
 def run_simulation(topology: Topology, assignment: CacheAssignment,
@@ -110,9 +110,9 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
     served_counts: Counter[str] = Counter()
     responses = [0] * n
     forwards = [0] * n
-    # interests routed per (consumer, server); a plain dict, as a Counter's
-    # __missing__ on every new route is measurably slower
-    route_counts: dict[tuple[int, int], int] = {}
+    # interests routed per (consumer, server, hops); a plain dict, as a
+    # Counter's __missing__ on every new route is measurably slower
+    route_counts: dict[tuple[int, int, int], int] = {}
     if lru_enabled:
         provider_set = set(roles.providers)
         capacity = assignment.buffer_items
@@ -121,7 +121,7 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
         lru = {v: OrderedDict() for v in provider_set}
         lru.update((v, OrderedDict.fromkeys(reversed(assignment.items_at(v))))
                    for v in assignment.nodes())
-        route_providers: dict[tuple[int, int], tuple[int, ...]] = {}
+        route_providers: dict[tuple[int, int, int], tuple[int, ...]] = {}
         interests = zip(workload.draws, repeat(1))
     else:
         interests = Counter(workload.draws).items()
@@ -131,7 +131,7 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
             raise ValueError(f"workload consumer {c} lacks the consumer role")
         if item < 0:
             raise ValueError(f"invalid item rank {item}")
-        served, server = _choose_server(cache, holders.get(item, empty), c)
+        served, server, hops_away = _choose_server(cache, holders.get(item, empty), c)
         served_counts[served] += count
         if served == "cache":
             responses[server] += count
@@ -139,7 +139,7 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
                 lru[server].move_to_end(item)
         elif served != "origin":
             continue
-        route = (c, server)
+        route = (c, server, hops_away)
         route_counts[route] = route_counts.get(route, 0) + count
         if not (lru_enabled and served == "origin"):
             continue
@@ -150,7 +150,7 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
         if on_route is None:
             hops = cache.next_hops(server)
             on_route, v = [], hops[c]
-            while v != server:
+            for _ in range(hops_away - 1):
                 if v in provider_set:
                     on_route.append(v)
                 v = hops[v]
@@ -164,14 +164,19 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
                 evicted, _ = state.popitem(last=False)
                 holders[evicted].discard(v)
 
-    # every hop strictly between consumer and server on the server's
-    # next-hop tree forwards the route's interests
-    for (c, server), count in route_counts.items():
+    # each hop strictly between consumer and server on the server's next-hop
+    # tree forwards the route's interests; this walk and the LRU one take as
+    # many steps as the distance, so a broken tree (one with a cycle, say)
+    # raises here instead of looping forever
+    for (c, server, hops_away), count in route_counts.items():
         hops = cache.next_hops(server)
         v = hops[c]
-        while v != server:
+        for _ in range(hops_away - 1):
             forwards[v] += count
             v = hops[v]
+        if v != server:
+            raise RuntimeError(f"next hops from consumer {c} miss server "
+                               f"{server} after {hops_away} hops")
 
     # a node receives every interest it forwards or serves
     received = [f + r for f, r in zip(forwards, responses)]

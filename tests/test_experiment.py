@@ -56,8 +56,11 @@ class TestSynthetic:
         topo = generate_synthetic_topology("grid", 9, 0.0, seed=0)
         assert topo.original_ids[topo.origin] == 0
 
+    # n = 150 and 300 give reach rows of several uint64 words
     @pytest.mark.parametrize("kind,n,density", [("erdos_renyi", 40, 0.06),
-                                                ("geometric", 60, 0.16)])
+                                                ("geometric", 60, 0.16),
+                                                ("geometric", 150, 0.11),
+                                                ("geometric", 300, 0.08)])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_origin_is_oracle_argmax_farness(self, kind, n, density, seed):
         with warnings.catch_warnings():

@@ -125,7 +125,39 @@ class TestFarness:
     @example(from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6)))
     @example(from_edges([], nodes=range(3)))
     def test_matches_plain_bfs(self, topo):
+        self.check(topo)
+
+    # the graphs above have at most 10 nodes, so every reach row is one
+    # uint64 word and no slot spans the 64 rows that take the in-place OR;
+    # the graphs below have rows of several words and take both paths
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sparse_rows_of_several_words(self, n, seed):
+        edges = random_edge_set(random.Random(seed), n, 3 / n)
+        self.check(from_edges(edges, nodes=range(n)))
+
+    def test_isolated_nodes_and_a_disconnected_part(self):
+        edges = random_edge_set(random.Random(4), 80, 0.05)
+        edges += [(v, v + 1) for v in range(100, 140)]
+        self.check(from_edges(edges, nodes=range(150)))
+
+    def test_star_with_more_than_64_leaves(self):
+        self.check(from_edges([(0, v) for v in range(1, 100)]))
+
+    def test_hub_joined_to_a_path(self):
+        # node 150 has degree 100: one end of the path 0..149 and 99 leaves
+        edges = [(v, v + 1) for v in range(149)]
+        self.check(from_edges(edges + [(150, v) for v in (0, *range(151, 250))]))
+
+    def test_hubs_joined_to_every_leaf(self):
+        # 30 hubs with 100 leaves each: the hubs' neighbours beyond the
+        # slots are gathered in several runs of under 2n rows
+        self.check(from_edges([(h, v) for h in range(30) for v in range(30, 130)]))
+
+    @staticmethod
+    def check(topo):
         reached, far = farness(topo)
+        assert {type(x) for x in (*reached, *far)} == {int}
         adj = adjacency_sets(topo)
         for v in range(topo.node_count):
             dists = [d for d in plain_bfs_dist(adj, v).values() if d > 0]

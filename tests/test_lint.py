@@ -160,9 +160,10 @@ def test_detects_call():
     assert defines("def f():\n    pass\n", "f") and not defines(source, "f")
 
 
-# every BFS in the package runs through PathCache.bfs_levels: the per-source
-# entry point wraps it for callers outside the package and nothing inside
-# calls it
+# every path-counting BFS in the package runs through PathCache.bfs_levels
+# (graph.farness is the one other all-sources pass, and it keeps distances
+# only): the per-source entry point wraps bfs_levels for callers outside the
+# package and nothing inside calls it
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_one_bfs_engine(path):
     source = path.read_text()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.centrality import ReplicationPolicy
-from fogcache.graph import _BATCH, PathCache, from_edges
+from fogcache.graph import _BATCH, UNREACHABLE, PathCache, from_edges
 from fogcache.placement import (CacheAssignment, place_greedy_popular,
                                 place_noncollaborative)
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
@@ -316,6 +316,21 @@ class TestRunSimulation:
                                     capacity, lru)
         assert dataclasses.asdict(metrics) == {"providers": tuple(providers),
                                                **expected}
+
+    @pytest.mark.parametrize("lru", [False, True])
+    def test_cyclic_next_hop_tree_raises(self, lru):
+        # a broken tree (say, ids wrapping in too narrow a dtype) fails the
+        # run instead of walking forever: 0 -> 1 -> 2 -> 1 -> ... never
+        # reaches the origin 3
+        class CyclicHops(PathCache):
+            def next_hops(self, target):
+                return [1, 2, 1, UNREACHABLE]
+
+        topo = line_topology(4)
+        with pytest.raises(RuntimeError, match="next hops from consumer 0 miss server 3 after 3 hops"):
+            run_simulation(topo, static_assignment({}), roles_of([0], [1]),
+                           workload_of([(0, 0)]), lru_enabled=lru,
+                           path_cache=CyclicHops(topo))
 
     @pytest.mark.parametrize("lru", [False, True])
     def test_workload_consumer_outside_roles_rejected(self, lru):
