@@ -62,13 +62,11 @@ def generate_interests(catalog: ContentCatalog, consumers, count: int,
     if not consumers and count > 0:
         raise ValueError("cannot generate interests for an empty consumer set")
     cumulative = list(accumulate(catalog.popularity))
-    cumulative[-1] = 1.0  # guard against float undershoot at the tail
+    cumulative[-1] = 1.0  # no float undershoot: each random() < 1.0 has a rank
     rng = random.Random(seed)
     n_cons = len(consumers)
-    top = catalog.size - 1
     draws = []
     for _ in range(count):
         c = consumers[rng.randrange(n_cons)]
-        r = bisect_right(cumulative, rng.random())
-        draws.append((c, min(r, top)))
+        draws.append((c, bisect_right(cumulative, rng.random())))
     return InterestWorkload(draws=tuple(draws), seed=seed)

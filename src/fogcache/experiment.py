@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
+from statistics import fmean
 
 from .catalog import (ContentCatalog, InterestWorkload, generate_interests,
                       zipf_catalog)
@@ -138,14 +139,10 @@ class ResultTable:
     aggregates: list[dict]
 
 
-def _mean(values):
-    return math.fsum(values) / len(values)
-
-
 def _stddev(values):
     if len(values) < 2:
         return 0.0
-    mu = _mean(values)
+    mu = fmean(values)
     return math.sqrt(math.fsum((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
@@ -261,7 +258,7 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
         for alpha in plan.alphas:
             for scheme in plan.schemes:
                 members = groups[label, scheme, alpha]
-                for stat, fn in (("mean", _mean), ("stddev", _stddev)):
+                for stat, fn in (("mean", fmean), ("stddev", _stddev)):
                     aggregates.append({
                         "topology": label, "scheme": scheme, "alpha": alpha,
                         "repetition": stat, "seed": "",

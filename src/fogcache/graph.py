@@ -251,18 +251,17 @@ class PathCache:
     for the cache's lifetime: betweenness leaves every source's, batch by
     batch, and a read of a source without a row runs the aligned block of
     ``_BATCH`` ids that holds it.  :meth:`paths_from` builds a source's tuples
-    from its row on each call.  Routing reads memoized read-only views:
-    :meth:`dist_from` a source's ``dist`` row in place, :meth:`next_hops` a
-    target's tree, built in numpy.  Rows and memos are never replaced
-    (``dict.setdefault``), so concurrent readers under the GIL are safe:
-    racing readers of one source get the same objects.
+    from its row on each call.  Routing reads read-only views:
+    :meth:`dist_from` hands out a source's stored ``dist`` row, and
+    :meth:`next_hops` a target's memoized tree, built in numpy.  Rows and
+    trees are never replaced (``dict.setdefault``), so concurrent readers
+    under the GIL are safe: racing readers of one source get the same objects.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        # per-source BFS rows (see _store) and routing's read-only views
-        self._rows: dict[int, tuple[np.ndarray, ...]] = {}
-        self._dist: dict[int, memoryview] = {}
+        # per-source BFS rows (see _store) and per-target next-hop trees
+        self._rows: dict[int, tuple] = {}
         self._hops: dict[int, memoryview] = {}
         # CSR adjacency (with each entry's tail), and one int per node id:
         # taking from it builds the order tuples faster than boxing each id
@@ -334,11 +333,11 @@ class PathCache:
 
     def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
         """Keep each source's BFS from ``levels``, unless it has a row, as
-        compact numpy rows for :meth:`paths_from` to build its tuples from:
-        ``dist`` in the narrowest signed dtype for the level count, the BFS
-        ``order`` in the narrowest dtype for n, and σ as an index row into the
-        batch's sorted distinct path counts, int64 unless the batch's counts
-        went on as Python ints."""
+        compact rows for :meth:`paths_from` to build its tuples from: a
+        read-only ``dist`` view in the narrowest signed dtype for the level
+        count, the BFS ``order`` in the narrowest dtype for n, and σ as an
+        index row into the batch's sorted distinct path counts, int64 unless
+        the batch's counts went on as Python ints."""
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
         dist = np.full(len(sources) * n, UNREACHABLE,
@@ -356,11 +355,12 @@ class PathCache:
                                kind="stable")  # a radix sort
         order = (keys.take(by_source) % n).astype(np.min_scalar_type(n))
         ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
+        dist = memoryview(dist).toreadonly()
         for b, (s, start, end) in enumerate(zip(sources, [0, *ends], ends)):
             row = slice(b * n, (b + 1) * n)
             self._rows.setdefault(s, (dist[row], values, sigma[row], order[start:end]))
 
-    def _row(self, source: int) -> tuple[np.ndarray, ...]:
+    def _row(self, source: int) -> tuple:
         """The BFS row of ``source``, after a BFS of its block if it has none."""
         if source not in self._rows:
             n = self._ids.size
@@ -371,11 +371,9 @@ class PathCache:
         return self._rows[source]
 
     def dist_from(self, source: int) -> memoryview:
-        """Memoized read-only view of the hop distances from ``source`` in
-        its stored row, UNREACHABLE where no path."""
-        if source not in self._dist:
-            self._dist.setdefault(source, memoryview(self._row(source)[0]).toreadonly())
-        return self._dist[source]
+        """The stored read-only view of the hop distances from ``source``,
+        UNREACHABLE where no path."""
+        return (self._rows.get(source) or self._row(source))[0]
 
     def paths_from(self, source: int) -> ShortestPathData:
         """The BFS of ``source``, built from its row on each call."""
@@ -389,7 +387,7 @@ class PathCache:
         smallest-id neighbour one hop closer to ``target``, or UNREACHABLE
         where there is none (``target`` itself and nodes it cannot reach)."""
         if target not in self._hops:
-            dist = self._row(target)[0]
+            dist = np.asarray(self._row(target)[0])
             # CSR entries (v, w) with w one hop closer: v ascends, and so does
             # w within v, so v's first entry holds its smallest-id hop
             closer = np.flatnonzero(dist.take(self._indices) == dist.take(self._tails) - 1)

@@ -1,0 +1,85 @@
+"""Mutant table: deliberate faults that the suite must catch.
+
+Each row names a module of the ``fogcache`` package, a snippet that occurs in
+the package exactly once, its replacement, and the ids of tests that fail
+once the snippet is replaced.  A mutation runner applies one row at a time
+to a copy of the tree and runs the named tests, each of which must fail;
+``test_lint.py`` checks that every snippet is still there, once, and that
+every named test still exists.
+"""
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+GRAPH = "tests/test_graph.py::"
+CENTRALITY = "tests/test_centrality.py::"
+SIMULATOR = "tests/test_simulator.py::"
+
+MUTANTS = (
+    # PathCache hands out its stored rows
+    Mutant("writable distance rows", "graph.py",
+           "memoryview(dist).toreadonly()", "memoryview(dist)",
+           (GRAPH + "TestNarrowViews::test_views_are_read_only",)),
+    Mutant("a new distance view per read", "graph.py",
+           "(self._rows.get(source) or self._row(source))[0]",
+           "(self._rows.get(source) or self._row(source))[0][:]",
+           (GRAPH + "TestPathCacheMiss::test_racing_readers_share_entries",
+            GRAPH + "TestNarrowViews::test_views_are_read_only",
+            CENTRALITY + "TestLazyRows::test_lookup_builds_only_its_source",
+            SIMULATOR + "TestPathCacheReuse::test_second_run_builds_nothing")),
+    Mutant("a later BFS replaces a stored row", "graph.py",
+           "self._rows.setdefault(s, (dist[row], values, sigma[row], order[start:end]))",
+           "self._rows[s] = (dist[row], values, sigma[row], order[start:end])",
+           (GRAPH + "TestPathCacheMiss::test_first_row_wins",
+            CENTRALITY + "TestBatchedBetweenness::test_matches_per_source_pass")),
+    Mutant("a miss runs the block that starts at its source", "graph.py",
+           "start = source - source % _BATCH", "start = source",
+           (GRAPH + "TestPathCacheMiss::test_fills_the_aligned_block",
+            SIMULATOR + "TestPathCacheReuse::test_bfs_once_per_routed_consumer_and_server")),
+    # next-hop trees
+    Mutant("int8 next-hop trees", "graph.py",
+           "dtype=np.min_scalar_type(-dist.size))", "dtype=np.int8)",
+           (GRAPH + "TestNarrowViews::test_reads_match_oracle[path300]",
+            GRAPH + "TestNarrowViews::test_reads_match_oracle[two_parts200]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_past_int8[line300-False]")),
+    Mutant("the last closer neighbour", "graph.py",
+           "np.diff(self._tails.take(closer), prepend=-1)",
+           "np.diff(self._tails.take(closer), append=dist.size)",
+           (GRAPH + "TestNextHops::test_smallest_predecessor",
+            SIMULATOR + "TestRouteInterest::test_next_hop_tie_smallest_id")),
+    # farness as a packed-bitset BFS
+    Mutant("farness slot 0 dropped", "graph.py",
+           "for j in range(cut)]", "for j in range(1, cut)]",
+           (GRAPH + "TestFarness::test_star_with_more_than_64_leaves",
+            GRAPH + "TestFarness::test_hubs_joined_to_every_leaf")),
+    Mutant("farness rows one word short", "graph.py",
+           "reach = np.zeros((n, (n + 63) // 64)", "reach = np.zeros((n, n // 64)",
+           (GRAPH + "TestFarness::test_matches_plain_bfs",
+            GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-65]")),
+    Mutant("farness run offsets not rebased", "graph.py",
+           "seg[a:b] - seg[a])", "seg[a:b])",
+           (GRAPH + "TestFarness::test_hubs_joined_to_every_leaf",
+            GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-64]")),
+    # bounded route walks
+    Mutant("the forward walk one step short", "simulator.py",
+           "for _ in range(hops_away - 1):\n            forwards[v] += count",
+           "for _ in range(hops_away - 2):\n            forwards[v] += count",
+           (SIMULATOR + "TestRouteInterest::test_served_by_origin_with_forward",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
+    Mutant("the LRU walk one step short", "simulator.py",
+           "for _ in range(hops_away - 1):\n                if v in provider_set",
+           "for _ in range(hops_away - 2):\n                if v in provider_set",
+           (SIMULATOR + "TestRunSimulation::test_lru_insertion_serves_repeat",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
+    Mutant("the walk's raise dropped", "simulator.py",
+           "if v != server:\n            raise", "if False:\n            raise",
+           (SIMULATOR + "TestRunSimulation::test_cyclic_next_hop_tree_raises[False]",
+            SIMULATOR + "TestRunSimulation::test_cyclic_next_hop_tree_raises[True]")),
+)

@@ -3,6 +3,7 @@ import sys
 import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -246,11 +247,11 @@ class TestNextHops:
         cache = PathCache(topo)
         betweenness_centrality(topo, cache)
         targets = range(0, topo.node_count, 9)
-        rows = {t: cache._rows[t] for t in targets}
         with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            dists = {t: cache.dist_from(t) for t in targets}
             hops = {t: cache.next_hops(t) for t in targets}
-        assert not cache._dist
-        assert all(cache._rows[t] is rows[t] for t in targets)
+        # the rows are kept: their distance views are the same objects
+        assert all(cache.dist_from(t) is dists[t] for t in targets)
         for t in targets:
             assert list(hops[t]) == [min(p) if p else UNREACHABLE
                                      for p in oracle_preds(topo, t)]
@@ -268,30 +269,34 @@ class TestPathCacheMiss:
                 expected = python_bfs(topo, s)
                 assert cache.paths_from(s) == expected
                 assert list(cache.dist_from(s)) == list(expected.dist)
+            # every other source of those blocks is a hit now
+            for s in (*range(32, 96), *range(last, n)):
+                cache.dist_from(s)
         blocks = [list(call.args[1]) for call in bfs.call_args_list]
         assert blocks == [list(range(32, 64)), list(range(last, n)),
                           list(range(64, 96))]
-        assert cache._dist.keys() == {40, 33, 63, n - 1, last, 75}
-        assert cache._rows.keys() == {*range(32, 96), *range(last, n)}
 
     def test_first_row_wins(self):
         # a miss fills the rows of its block; betweenness, which covers the
         # block again, keeps them
         _, topo = default_topologies()[0]
         cache = PathCache(topo)
-        cache.next_hops(40)
-        rows = dict(cache._rows)
-        assert rows.keys() == set(range(32, 64))
+        with mock.patch.object(PathCache, "bfs_levels", autospec=True,
+                               side_effect=PathCache.bfs_levels) as bfs:
+            cache.next_hops(40)
+            dists = {s: cache.dist_from(s) for s in range(32, 64)}
+        assert [list(call.args[1]) for call in bfs.call_args_list] == [list(range(32, 64))]
         betweenness_centrality(topo, cache)
-        assert all(cache._rows[s] is row for s, row in rows.items())
+        assert all(cache.dist_from(s) is dist for s, dist in dists.items())
 
     @pytest.mark.parametrize("bad", [-1, -40, 7, 100])
     def test_invalid_source(self, bad):
         cache = PathCache(load_topology("0 1\n1 2\n2 3\n3 4\n4 5\n5 6"))
-        for read in (cache.paths_from, cache.dist_from, cache.next_hops):
-            with pytest.raises(ValueError, match=f"invalid source id {bad}"):
-                read(bad)
-        assert not cache._rows and not cache._dist and not cache._hops
+        # the id is checked before any BFS runs
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            for read in (cache.paths_from, cache.dist_from, cache.next_hops):
+                with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+                    read(bad)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
@@ -381,8 +386,8 @@ class TestNarrowViews:
                                                 for v in range(n)]
             assert list(cache.next_hops(s)) == [min(p) if p else UNREACHABLE
                                                 for p in oracle_preds(topo, s)]
-        assert {view.itemsize for view in cache._dist.values()} == {dist_size}
-        assert {view.itemsize for view in cache._hops.values()} == {2}
+        assert {cache.dist_from(s).itemsize for s in range(n)} == {dist_size}
+        assert {cache.next_hops(s).itemsize for s in range(n)} == {2}
 
     def test_views_are_read_only(self):
         cache = PathCache(from_edges([(v, v + 1) for v in range(299)]))
@@ -390,7 +395,11 @@ class TestNarrowViews:
         for view in (dist, hops):
             with pytest.raises(TypeError):
                 view[1] = 5
-        assert dist[1] == cache._rows[0][0][1] == 1 and hops[1] == 0
+            with pytest.raises(ValueError, match="read-only"):
+                np.asarray(view)[1] = 5
+        # dist_from hands out the stored row itself, not a copy
+        assert cache.dist_from(0) is dist and cache.next_hops(0) is hops
+        assert dist[1] == cache.paths_from(0).dist[1] == 1 and hops[1] == 0
 
 
 class TestConnectedComponents:

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import fogcache
+from mutants import MUTANTS
 
 PACKAGE = Path(fogcache.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
 
@@ -191,7 +193,7 @@ def test_one_cbc_pass():
     assert not defines(source, "_serve")
 
 
-# routing reads only the memoized distances and next hops: it never builds
+# routing reads only the stored distances and memoized next hops: it never builds
 # a source's σ and BFS order tuples
 def test_routing_reads_no_paths_from():
     source = (PACKAGE / "simulator.py").read_text()
@@ -229,3 +231,53 @@ def test_detects_blas_use():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_blas_in_src(path):
     assert blas_uses(path.read_text()) == []
+
+
+def attribute_lines(source: str, names) -> list[int]:
+    """Lines that read or bind an attribute named in ``names`` (``x.name``)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr in names})
+
+
+def test_detects_attribute():
+    source = "a = cache._dist\nb = _dist\ncache._hops[0] = 1\nc = x._rows\n"
+    assert attribute_lines(source, {"_dist", "_hops"}) == [1, 3]
+
+
+# the suite reads routing's distances and trees through dist_from and
+# next_hops, so a change to how PathCache stores them leaves it standing
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_tests_read_no_routing_stores(path):
+    assert attribute_lines(path.read_text(), {"_dist", "_hops"}) == []
+
+
+def names_a_test(test_id: str) -> bool:
+    """Whether ``file::[Class::]name[param]`` names a test file that defines
+    that class and that function."""
+    path, *names = test_id.split("[")[0].split("::")
+    if not (TESTS.parent / path).is_file() or not names:
+        return False
+    tree = ast.parse((TESTS.parent / path).read_text())
+    scope = tree.body
+    for name in names[:-1]:
+        scope = next((node.body for node in scope
+                      if isinstance(node, ast.ClassDef) and node.name == name), [])
+    return any(isinstance(node, ast.FunctionDef) and node.name == names[-1]
+               for node in scope)
+
+
+def test_detects_missing_test():
+    assert names_a_test("tests/test_lint.py::test_detects_missing_test")
+    assert names_a_test("tests/test_graph.py::TestNarrowViews::test_reads_match_oracle[path300]")
+    assert not names_a_test("tests/test_graph.py::TestNarrowViews::test_detects_missing_test")
+    assert not names_a_test("tests/test_nothing.py::test_detects_missing_test")
+
+
+# each row of the mutant table (tests/mutants.py) replaces code that is still
+# in the package, at one place, and names tests that still exist
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: re.sub(r"\W+", "-", m.name))
+def test_mutant_snippet_occurs_once(mutant):
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert sources[mutant.module].count(mutant.old) == 1
+    assert sum(source.count(mutant.old) for source in sources.values()) == 1
+    assert mutant.kills and all(map(names_a_test, mutant.kills))

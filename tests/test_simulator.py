@@ -301,10 +301,13 @@ class TestRunSimulation:
         caches = {v: tuple(rng.sample(range(4), rng.randint(0, 2))) for v in providers}
         draws = [(rng.choice(consumers), rng.randrange(4)) for _ in range(400)]
         cache = PathCache(topology)
-        self.check_against_oracle(lru, (topology, caches, consumers, providers, 2, draws),
-                                  cache)
-        assert 2 in {view.itemsize for view in cache._dist.values()}
-        assert {view.itemsize for view in cache._hops.values()} == {2}
+        with mock.patch.object(PathCache, "next_hops", autospec=True,
+                               side_effect=PathCache.next_hops) as next_hops:
+            self.check_against_oracle(lru, (topology, caches, consumers, providers, 2,
+                                             draws), cache)
+        servers = {call.args[1] for call in next_hops.call_args_list}
+        assert 2 in {cache.dist_from(c).itemsize for c in consumers}
+        assert {cache.next_hops(t).itemsize for t in servers} == {2}
 
     @staticmethod
     def check_against_oracle(lru, case, cache=None):
@@ -358,17 +361,18 @@ class TestPathCacheReuse:
         workload = generate_interests(catalog, roles.consumers, 300, seed=3)
         return topo, assignment, roles, workload
 
-    def count_bfs(self, monkeypatch):
-        """The source blocks of every batched BFS run from here on."""
-        blocks = []
-        bfs = PathCache.bfs_levels
+    def record(self, monkeypatch, name):
+        """The argument of every call to ``PathCache.<name>`` from here on: a
+        source, a target, or a batched BFS's block of sources."""
+        args = []
+        read = getattr(PathCache, name)
 
-        def counted(cache, sources):
-            blocks.append(list(sources))
-            return bfs(cache, sources)
+        def recorded(cache, arg):
+            args.append(arg)
+            return read(cache, arg)
 
-        monkeypatch.setattr(PathCache, "bfs_levels", counted)
-        return blocks
+        monkeypatch.setattr(PathCache, name, recorded)
+        return args
 
     def test_bfs_once_per_routed_consumer_and_server(self, monkeypatch):
         # the same sources as hop-by-hop routing: each consumer that looks
@@ -398,29 +402,36 @@ class TestPathCacheReuse:
         n = topo.node_count
         starts = {v - v % _BATCH for v in consumers | servers}
         assert len(starts) < -(-n // _BATCH)
-        blocks = self.count_bfs(monkeypatch)
-        cache = PathCache(topo)
-        run_simulation(topo, assignment, roles, workload, path_cache=cache)
-        assert sorted(blocks) == [list(range(s, min(s + _BATCH, n)))
-                                  for s in sorted(starts)]
-        assert cache._dist.keys() == consumers
-        assert cache._hops.keys() == servers
+        blocks = self.record(monkeypatch, "bfs_levels")
+        sources = self.record(monkeypatch, "dist_from")
+        targets = self.record(monkeypatch, "next_hops")
+        run_simulation(topo, assignment, roles, workload, path_cache=PathCache(topo))
+        assert sorted(map(list, blocks)) == [list(range(s, min(s + _BATCH, n)))
+                                             for s in sorted(starts)]
+        assert set(sources) == consumers
+        assert set(targets) == servers
 
     def test_second_run_builds_nothing(self, monkeypatch):
         topo, assignment, roles, workload = self.cell()
         cache = PathCache(topo)
+        sources = self.record(monkeypatch, "dist_from")
+        targets = self.record(monkeypatch, "next_hops")
         first = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
-        dists, hops = dict(cache._dist), dict(cache._hops)
-        blocks = self.count_bfs(monkeypatch)
+        dists = {s: cache.dist_from(s) for s in set(sources)}
+        hops = {t: cache.next_hops(t) for t in set(targets)}
+        sources.clear()
+        targets.clear()
+        blocks = self.record(monkeypatch, "bfs_levels")
         again = [run_simulation(topo, assignment, roles, workload, lru, cache)
                  for lru in (False, True)]
         assert again == first
         assert blocks == []
-        assert cache._dist.keys() == dists.keys()
-        assert all(cache._dist[s] is dists[s] for s in dists)
-        assert cache._hops.keys() == hops.keys()
-        assert all(cache._hops[t] is hops[t] for t in hops)
+        # the second run reads the same sources and targets and gets the same
+        # views back
+        assert set(sources) == dists.keys() and set(targets) == hops.keys()
+        assert all(cache.dist_from(s) is dist for s, dist in dists.items())
+        assert all(cache.next_hops(t) is tree for t, tree in hops.items())
 
     @pytest.mark.parametrize("lru", [False, True])
     def test_routing_never_calls_paths_from(self, monkeypatch, lru):
