@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (_BATCH, UNREACHABLE, PathCache, ShortestPathData, Topology,
-                    farness)
+                    cache_for, farness)
 
 
 class PowerIterationError(RuntimeError):
@@ -88,7 +88,7 @@ def betweenness_centrality(topology: Topology, cache: PathCache | None = None) -
     Python ints and floats, as in ``_accumulate``.
     """
     n = topology.node_count
-    cache = cache or PathCache(topology)
+    cache = cache_for(topology, cache)
     raw = np.zeros(n)
     for start in range(0, n, _BATCH):
         sources = range(start, min(start + _BATCH, n))
@@ -186,7 +186,7 @@ def _cbc(kind: str, topology: Topology, consumers, classes,
     summed in class order before its tally is added.  No reachable holder
     adds nothing."""
     n = topology.node_count
-    cache = cache or PathCache(topology)
+    cache = cache_for(topology, cache)
     raw = [0.0] * n
     for u in sorted(set(consumers)):
         if not 0 <= u < n:

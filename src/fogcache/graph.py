@@ -337,7 +337,7 @@ class PathCache:
         read-only ``dist`` view in the narrowest signed dtype for the level
         count, the BFS ``order`` in the narrowest dtype for n, and σ as an
         index row into the batch's sorted distinct path counts, int64 unless
-        the batch's counts went on as Python ints."""
+        one of them passes 2^63 - 1."""
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
         dist = np.full(len(sources) * n, UNREACHABLE,
@@ -345,8 +345,10 @@ class PathCache:
         dist[keys] = np.repeat(np.arange(len(levels)),
                                [level.nodes.size for level in levels])
         # a leading 0 gives the unreached nodes index 0
-        values, index = np.unique(np.concatenate([[0], *(level.sigma for level in levels)]),
-                                  return_inverse=True)
+        counts = np.concatenate([[0], *(level.sigma for level in levels)])
+        if counts.dtype == object and counts.max() <= _INT64_MAX:
+            counts = counts.astype(np.int64)  # promoted, yet every count fits
+        values, index = np.unique(counts, return_inverse=True)
         sigma = np.zeros(len(sources) * n, dtype=np.min_scalar_type(values.size))
         sigma[keys] = index[1:]
         # group the keys by source, keeping each source's BFS order
@@ -396,3 +398,14 @@ class PathCache:
             hops[self._tails.take(first)] = self._indices.take(first)
             self._hops.setdefault(target, memoryview(hops).toreadonly())
         return self._hops[target]
+
+
+def cache_for(topology: Topology, cache: PathCache | None = None) -> PathCache:
+    """``cache``, or a new :class:`PathCache` of ``topology`` without one.  A
+    cache built for another topology is refused: its rows would route and
+    score another graph."""
+    if cache is None:
+        return PathCache(topology)
+    if cache.topology != topology:
+        raise ValueError("path cache was built for another topology")
+    return cache

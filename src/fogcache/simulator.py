@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
+
+import numpy as np
 
 from .catalog import InterestWorkload
-from .graph import UNREACHABLE, PathCache, Topology
+from .graph import UNREACHABLE, PathCache, Topology, cache_for
 from .placement import CacheAssignment
 
 
@@ -64,9 +66,10 @@ class SimMetrics:
 
 
 def _choose_server(cache: PathCache, holders, consumer: int):
-    """First routing step: the holder nearest to ``consumer``, ties to the
-    smaller id, where the origin always holds the item.  Returns
-    ``(served_from, server, hops)``, ``hops`` the server's distance."""
+    """First routing step of an LRU interest: the holder nearest to
+    ``consumer``, ties to the smaller id, where the origin always holds the
+    item.  Returns ``(served_from, server, hops)``, ``hops`` the server's
+    distance."""
     origin = cache.topology.origin
     if consumer in holders or consumer == origin:
         return "self", consumer, 0
@@ -83,65 +86,127 @@ def _choose_server(cache: PathCache, holders, consumer: int):
     return ("origin" if server == origin else "cache"), server, best
 
 
-def run_simulation(topology: Topology, assignment: CacheAssignment,
-                   roles: RoleAssignment, workload: InterestWorkload,
-                   lru_enabled: bool = False,
-                   path_cache: PathCache | None = None) -> SimMetrics:
-    """Route the workload and accumulate counters.
+def _route_static(cache: PathCache, assignment: CacheAssignment,
+                  roles: RoleAssignment, draws):
+    """Every distinct (consumer, item) pair of a static run routed at once and
+    weighted by its count, by :func:`_choose_server`'s rule.  Pairs are
+    grouped by the size of their item's holder set (the holders plus the
+    origin, ascending), so each group picks its servers with one (pairs ×
+    holders) gather of stored distance rows and one ``argmin``: the first
+    least distance is the least (distance, id).  Returns the interests per
+    outcome, the cache responses per node, and the (consumer, server, hops)
+    route of each pair served from a cache or the origin with its count."""
+    topology = cache.topology
+    n, origin = topology.node_count, topology.origin
+    tally = Counter(draws)  # keys in first-seen order
+    pairs = np.fromiter(chain.from_iterable(tally), np.int64,
+                        count=2 * len(tally)).reshape(-1, 2)
+    counts = np.fromiter(tally.values(), np.int64, count=len(tally))
+    consumer, item = pairs.T
+    is_consumer = np.isin(consumer, roles.consumers)
+    bad = np.flatnonzero(~is_consumer | (item < 0))
+    if bad.size:  # the first bad draw decides the message
+        c, rank = pairs[bad[0]].tolist()
+        if not is_consumer[bad[0]]:
+            raise ValueError(f"workload consumer {c} lacks the consumer role")
+        raise ValueError(f"invalid item rank {rank}")
+    # the holders of each requested item and the origin, ascending, as the
+    # sorted item-major keys item_index * n + node
+    items, at = np.unique(item, return_inverse=True)
+    nodes = assignment.nodes()
+    parts = [assignment.items_at(v) for v in nodes]
+    held = np.fromiter(chain.from_iterable(parts), np.int64)
+    node = np.repeat(np.array(nodes, dtype=np.int64), list(map(len, parts)))
+    requested = np.isin(held, items)
+    keys = np.sort(np.concatenate([
+        np.searchsorted(items, held[requested]) * n + node[requested],
+        np.arange(items.size) * n + origin]))
+    # each key once; a plain np.unique would import numpy.ma (over 1 MB of
+    # process memory) for its masked-array check
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    node_of, item_of = keys % n, keys // n
+    size = np.bincount(item_of, minlength=items.size)
+    first = np.cumsum(size) - size
+    # the consumer holds the item, or is the origin: node-major keys, so that
+    # no consumer id, in range or not, matches another item's holder; both
+    # key sets are distinct, which spares isin its np.unique calls
+    own = np.isin(consumer * items.size + at, node_of * items.size + item_of,
+                  assume_unique=True)
+    # one stored distance row per consumer that looks for a holder, stacked
+    # in its stored dtype and read unsigned: UNREACHABLE is the largest
+    look = np.flatnonzero(~own)
+    sources, row = np.unique(consumer.take(look), return_inverse=True)
+    dist = np.array([cache.dist_from(u) for u in sources.tolist()])
+    dist = dist.view(f"u{dist.itemsize}")
+    # holder ids as narrow as the node ids, so no (pairs × holders) array
+    # is wider than they are
+    holders = node_of.astype(np.min_scalar_type(n))
+    server = np.zeros(len(tally), dtype=np.int64)
+    hops = np.zeros(len(tally), dtype=np.int64)
+    look_size = size.take(at.take(look))
+    for s in np.flatnonzero(np.bincount(look_size)).tolist():  # sizes that occur
+        in_group = look_size == s
+        sel = look[in_group]
+        group_items = np.flatnonzero(size == s)
+        group = holders.take(first.take(group_items)[:, None] + np.arange(s))
+        group = group.take(np.searchsorted(group_items, at.take(sel)), axis=0)
+        d = dist[row[in_group][:, None], group]
+        best = d.argmin(axis=1)
+        pick = np.arange(sel.size)
+        hops[sel] = d[pick, best]
+        server[sel] = group[pick, best]
+    reached = ~own & (hops < np.iinfo(dist.dtype).max)
+    at_cache = reached & (server != origin)
+    responses = np.zeros(n, dtype=np.int64)
+    np.add.at(responses, server[at_cache], counts[at_cache])
+    served = {"self": int(counts[own].sum()),
+              "cache": int(counts[at_cache].sum()),
+              "origin": int(counts[reached & ~at_cache].sum()),
+              "none": int(counts[~own & ~reached].sum())}
+    routes = np.column_stack([consumer, server, hops])[reached]
+    return served, responses, routes, counts[reached]
 
-    One routing loop picks each interest's server.  Static caches make an
-    interest's outcome depend only on its (consumer, item) pair, so each
-    distinct pair is routed once, weighted by its count.  With
-    ``lru_enabled`` (social-unaware baseline) interests go in order: every
-    provider on the return path of an origin-served interest inserts the
-    item, evicting its least-recently-used entry at capacity, and cache hits
-    refresh recency.  A route's hops never change within a run, so the
-    providers of each origin-served (consumer, server) route are memoized,
-    and forward counts are added after the loop, one walk per distinct
-    route."""
-    n = topology.node_count
-    for v in assignment.nodes():
-        if not 0 <= v < n:
-            raise ValueError(f"assignment references unknown node {v}")
-    cache = path_cache or PathCache(topology)
+
+def _route_lru(cache: PathCache, assignment: CacheAssignment,
+               roles: RoleAssignment, draws):
+    """The interests of an LRU run in order, one at a time, with
+    :func:`_route_static`'s return values.  Every provider on the return path
+    of an origin-served interest inserts the item, evicting its
+    least-recently-used entry at capacity, and cache hits refresh recency.
+    A route's hops never change within a run, so the providers of each
+    origin-served (consumer, server) route are memoized."""
+    n = cache.topology.node_count
     consumer_set = set(roles.consumers)
     holders: dict[int, set[int]] = assignment.holders_by_item()
     empty: set[int] = set()
-    served_counts: Counter[str] = Counter()
+    served: Counter[str] = Counter()
     responses = [0] * n
-    forwards = [0] * n
     # interests routed per (consumer, server, hops); a plain dict, as a
     # Counter's __missing__ on every new route is measurably slower
     route_counts: dict[tuple[int, int, int], int] = {}
-    if lru_enabled:
-        provider_set = set(roles.providers)
-        capacity = assignment.buffer_items
-        # per-provider recency state, least-recent first; seed it with the
-        # placed contents so the least popular item is evicted first
-        lru = {v: OrderedDict() for v in provider_set}
-        lru.update((v, OrderedDict.fromkeys(reversed(assignment.items_at(v))))
-                   for v in assignment.nodes())
-        route_providers: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        interests = zip(workload.draws, repeat(1))
-    else:
-        interests = Counter(workload.draws).items()
-
-    for (c, item), count in interests:
+    provider_set = set(roles.providers)
+    capacity = assignment.buffer_items
+    # per-provider recency state, least-recent first; seed it with the
+    # placed contents so the least popular item is evicted first
+    lru = {v: OrderedDict() for v in provider_set}
+    lru.update((v, OrderedDict.fromkeys(reversed(assignment.items_at(v))))
+               for v in assignment.nodes())
+    route_providers: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for c, item in draws:
         if c not in consumer_set:
             raise ValueError(f"workload consumer {c} lacks the consumer role")
         if item < 0:
             raise ValueError(f"invalid item rank {item}")
-        served, server, hops_away = _choose_server(cache, holders.get(item, empty), c)
-        served_counts[served] += count
-        if served == "cache":
-            responses[server] += count
-            if lru_enabled:
-                lru[server].move_to_end(item)
-        elif served != "origin":
+        outcome, server, hops_away = _choose_server(cache, holders.get(item, empty), c)
+        served[outcome] += 1
+        if outcome == "cache":
+            responses[server] += 1
+            lru[server].move_to_end(item)
+        elif outcome != "origin":
             continue
         route = (c, server, hops_away)
-        route_counts[route] = route_counts.get(route, 0) + count
-        if not (lru_enabled and served == "origin"):
+        route_counts[route] = route_counts.get(route, 0) + 1
+        if outcome != "origin":
             continue
         # every hop is strictly nearer the consumer than the nearest holder,
         # so none of them holds the item and the insertion order across the
@@ -163,33 +228,77 @@ def run_simulation(topology: Topology, assignment: CacheAssignment,
             if len(state) > capacity:
                 evicted, _ = state.popitem(last=False)
                 holders[evicted].discard(v)
+    routes = np.array(list(route_counts), dtype=np.int64).reshape(-1, 3)
+    counts = np.fromiter(route_counts.values(), np.int64, count=len(route_counts))
+    return served, np.array(responses, dtype=np.int64), routes, counts
 
-    # each hop strictly between consumer and server on the server's next-hop
-    # tree forwards the route's interests; this walk and the LRU one take as
-    # many steps as the distance, so a broken tree (one with a cycle, say)
-    # raises here instead of looping forever
-    for (c, server, hops_away), count in route_counts.items():
-        hops = cache.next_hops(server)
-        v = hops[c]
-        for _ in range(hops_away - 1):
-            forwards[v] += count
-            v = hops[v]
-        if v != server:
-            raise RuntimeError(f"next hops from consumer {c} miss server "
-                               f"{server} after {hops_away} hops")
 
+def _forward_counts(cache: PathCache, routes: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    """Interests forwarded per node: each (consumer, server, hops) row of
+    ``routes`` adds its count at every hop strictly between consumer and
+    server on the server's next-hop tree.  All routes walk together over the
+    servers' trees laid end to end, longest first, so each round moves a
+    prefix of them one hop.  Every walk takes exactly ``hops - 1`` steps, so
+    a broken tree (one with a cycle, say) raises instead of looping
+    forever."""
+    n = cache.topology.node_count
+    forwards = np.zeros(n, dtype=np.int64)
+    if not counts.size:
+        return forwards
+    by_length = np.argsort(-routes[:, 2])
+    routes, counts = routes.take(by_length, axis=0), counts.take(by_length)
+    consumer, server, hops = routes.T
+    targets, tree = np.unique(server, return_inverse=True)
+    trees = np.array([cache.next_hops(t) for t in targets.tolist()]).reshape(-1)
+    base = tree * n
+    at = base + consumer  # each walk's place in the trees
+    # the routes still walking in round j are those longer than j hops
+    for live in np.searchsorted(-hops, -np.arange(1, hops[0]), side="left").tolist():
+        v = trees.take(at[:live])
+        np.add.at(forwards, v, counts[:live])
+        np.add(base[:live], v, out=at[:live])
+    missed = np.flatnonzero(trees.take(at) != server)
+    if missed.size:
+        c, s, d = routes[missed[0]].tolist()
+        raise RuntimeError(f"next hops from consumer {c} miss server "
+                           f"{s} after {d} hops")
+    return forwards
+
+
+def run_simulation(topology: Topology, assignment: CacheAssignment,
+                   roles: RoleAssignment, workload: InterestWorkload,
+                   lru_enabled: bool = False,
+                   path_cache: PathCache | None = None) -> SimMetrics:
+    """Route the workload and accumulate counters.
+
+    Static caches make an interest's outcome depend only on its (consumer,
+    item) pair, so :func:`_route_static` routes each distinct pair once, as
+    array passes, weighted by its count.  With ``lru_enabled``
+    (social-unaware baseline) :func:`_route_lru` takes the interests in
+    order, since each origin-served one changes the caches on its return
+    path.  Either way forward counts are added after routing, by one stacked
+    walk over every route (:func:`_forward_counts`)."""
+    n = topology.node_count
+    for v in assignment.nodes():
+        if not 0 <= v < n:
+            raise ValueError(f"assignment references unknown node {v}")
+    cache = cache_for(topology, path_cache)
+    route = _route_lru if lru_enabled else _route_static
+    served, responses, routes, counts = route(cache, assignment, roles, workload.draws)
+    forwards = _forward_counts(cache, routes, counts)
     # a node receives every interest it forwards or serves
-    received = [f + r for f, r in zip(forwards, responses)]
-    received[topology.origin] += served_counts["origin"]
+    received = forwards + responses
+    received[topology.origin] += served["origin"]
     metrics = SimMetrics(providers=roles.providers,
-                         interests_received=received,
-                         cache_responses=responses,
-                         forwards=forwards,
+                         interests_received=received.tolist(),
+                         cache_responses=responses.tolist(),
+                         forwards=forwards.tolist(),
                          interests_generated=len(workload.draws),
-                         satisfied_from_cache=served_counts["cache"],
-                         satisfied_from_origin=served_counts["origin"],
-                         satisfied_self=served_counts["self"],
-                         unsatisfied=served_counts["none"])
+                         satisfied_from_cache=served["cache"],
+                         satisfied_from_origin=served["origin"],
+                         satisfied_self=served["self"],
+                         unsatisfied=served["none"])
     total = (metrics.satisfied_from_cache + metrics.satisfied_from_origin +
              metrics.satisfied_self + metrics.unsatisfied)
     assert total == metrics.interests_generated, "interest conservation violated"

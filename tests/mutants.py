@@ -67,19 +67,38 @@ MUTANTS = (
            "seg[a:b] - seg[a])", "seg[a:b])",
            (GRAPH + "TestFarness::test_hubs_joined_to_every_leaf",
             GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-64]")),
-    # bounded route walks
+    # bounded route walks: the stacked forward walk and the LRU providers walk
     Mutant("the forward walk one step short", "simulator.py",
-           "for _ in range(hops_away - 1):\n            forwards[v] += count",
-           "for _ in range(hops_away - 2):\n            forwards[v] += count",
+           "-np.arange(1, hops[0])", "-np.arange(2, hops[0] + 1)",
            (SIMULATOR + "TestRouteInterest::test_served_by_origin_with_forward",
-            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
     Mutant("the LRU walk one step short", "simulator.py",
            "for _ in range(hops_away - 1):\n                if v in provider_set",
            "for _ in range(hops_away - 2):\n                if v in provider_set",
            (SIMULATOR + "TestRunSimulation::test_lru_insertion_serves_repeat",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
     Mutant("the walk's raise dropped", "simulator.py",
-           "if v != server:\n            raise", "if False:\n            raise",
+           "if missed.size:", "if False:",
            (SIMULATOR + "TestRunSimulation::test_cyclic_next_hop_tree_raises[False]",
             SIMULATOR + "TestRunSimulation::test_cyclic_next_hop_tree_raises[True]")),
+    # static server choice as array passes
+    Mutant("holder ties go to the larger id", "simulator.py",
+           "best = d.argmin(axis=1)", "best = s - 1 - d[:, ::-1].argmin(axis=1)",
+           (SIMULATOR + "TestRouteInterest::test_nearest_holder_tie_smaller_id",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
+    Mutant("the self-served mark dropped", "simulator.py",
+           "own = np.isin(consumer * items.size + at, node_of * items.size + item_of,\n"
+           "                  assume_unique=True)",
+           "own = np.zeros(len(tally), dtype=bool)",
+           (SIMULATOR + "TestRouteInterest::test_self_served",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-False]")),
+    Mutant("UNREACHABLE read as the nearest distance", "simulator.py",
+           'dist = dist.view(f"u{dist.itemsize}")', "dist = dist.view(dist.dtype)",
+           (SIMULATOR + "TestRouteInterest::test_unreachable",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
+    Mutant("distances read for consumers that serve themselves", "simulator.py",
+           "sources, row = np.unique(consumer.take(look), return_inverse=True)",
+           "sources = np.unique(consumer); row = np.searchsorted(sources, consumer.take(look))",
+           (SIMULATOR + "TestPathCacheReuse::test_self_served_consumers_read_no_distances",)),
 )

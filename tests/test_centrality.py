@@ -109,11 +109,10 @@ def assert_batched_betweenness(topo, precached=()):
     cache = PathCache(topo)
     before = {s: cache.dist_from(s) for s in precached}
     assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
-    limit = _INT64_MAX // max(1, *map(len, topo.adjacency))
     for _, values, sigma, order in cache._rows.values():
         assert sigma.dtype.kind == "u"
-        # counts are boxed only in a batch whose BFS went on in Python ints
-        assert values.dtype == np.int64 or max(values) > limit
+        # counts are boxed only in a batch where one of them passes int64
+        assert values.dtype == np.int64 or max(values) > _INT64_MAX
         assert order.dtype == np.min_scalar_type(topo.node_count)
     # every source is cached now: a lookup that ran a BFS would raise
     with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
@@ -192,6 +191,16 @@ class TestBatchedBetweenness:
                    for level in PathCache(topo).bfs_levels(range(96, 128)))
         cache = assert_batched_betweenness(topo)
         assert cache.paths_from(0).sigma[210] == 2 ** 70
+
+    def test_promoted_batch_that_fits_stores_int64(self):
+        # 2^62 paths end to end: past INT64_MAX // 4 (hubs have degree 4),
+        # so the first batch goes on in Python ints, yet every count fits
+        topo = diamond_chain(62)
+        deepest = PathCache(topo).bfs_levels(range(32))[-1]
+        assert deepest.sigma.dtype == object and deepest.sigma.tolist() == [2 ** 62]
+        cache = assert_batched_betweenness(topo)
+        assert cache._rows[0][1].dtype == np.int64
+        assert cache.paths_from(0).sigma[186] == 2 ** 62
 
     @pytest.mark.parametrize("seed", range(6))
     def test_branching_chains_past_int64(self, seed):

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fogcache.centrality import betweenness_centrality
+from fogcache.catalog import InterestWorkload
+from fogcache.centrality import (ReplicationPolicy, betweenness_centrality,
+                                 cbc_exact, cbc_replication)
 from fogcache.experiment import default_topologies
 from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, Topology,
                             bfs_shortest_paths, connected_components,
                             farness, from_edges, load_topology,
                             serialize_topology)
+from fogcache.placement import place_noncollaborative
+from fogcache.simulator import RoleAssignment, run_simulation
 from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist, python_bfs,
                      random_edge_set)
 
@@ -358,6 +362,31 @@ class TestPathCacheMiss:
                     sp, their_dist, their_hops = mine[i][s]
                     assert sp == expected
                     assert their_dist is dist and their_hops is hops
+
+
+@pytest.mark.parametrize("entry", ["run_simulation", "betweenness_centrality",
+                                   "cbc_exact", "cbc_replication"])
+def test_cache_of_another_topology_rejected(entry):
+    # the path 0-1-2-3 and the path 0-3-1-2, both with origin 3: rows of the
+    # second would route and score the first wrongly
+    def path():
+        return from_edges([(0, 1), (1, 2), (2, 3)], origin_spec=3)
+
+    topo = path()
+    policy = ReplicationPolicy(0.5, 2, 4)
+    call = {
+        "run_simulation": lambda cache: run_simulation(
+            topo, place_noncollaborative([1], policy),
+            RoleAssignment(consumers=(0,), providers=(1,), passive=(2,), seed=0),
+            InterestWorkload(draws=((0, 3),), seed=0), path_cache=cache),
+        "betweenness_centrality": lambda cache: betweenness_centrality(topo, cache),
+        "cbc_exact": lambda cache: cbc_exact(topo, [0], {1: {0}}, 4, cache),
+        "cbc_replication": lambda cache: cbc_replication(topo, [0], policy, [1], cache),
+    }[entry]
+    # a cache of an equal topology built on its own serves it
+    assert call(PathCache(path())) == call(None)
+    with pytest.raises(ValueError, match="path cache was built for another topology"):
+        call(PathCache(from_edges([(0, 3), (3, 1), (1, 2)], origin_spec=3)))
 
 
 def two_part_graph():

@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import math
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -13,6 +16,7 @@ from fogcache.placement import (CacheAssignment, place_greedy_popular,
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
                                 pooled_hit_rate, run_simulation, success_rate,
                                 SimMetrics)
+from fogcache.synthetic import generate_synthetic_topology
 from oracles import naive_simulation, plain_bfs_dist, random_edge_set
 
 
@@ -309,6 +313,53 @@ class TestRunSimulation:
         assert 2 in {cache.dist_from(c).itemsize for c in consumers}
         assert {cache.next_hops(t).itemsize for t in servers} == {2}
 
+    @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("case", ["empty", "rank_past_catalog",
+                                      "origin_in_assignment", "origin_consumer"])
+    def test_matches_naive_oracle_edge_cases(self, lru, case):
+        # a 6-node path with a chord 1-4, origin 5
+        topology = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)],
+                              origin_spec=5)
+        caches = {2: (0,), 3: (1, 0)}
+        consumers, draws = [0, 1], [(0, 0), (1, 1), (0, 2), (1, 0), (0, 0)]
+        if case == "empty":
+            draws = []
+        elif case == "rank_past_catalog":
+            # served by the origin; a holder list per rank up to this one
+            # would not fit in memory
+            draws += [(0, 2 ** 62), (1, 2 ** 62), (0, 2 ** 62)]
+        elif case == "origin_in_assignment":
+            caches[5] = (1, 2)
+        else:  # the origin consumes, and serves itself
+            consumers.append(5)
+            draws += [(5, 0), (5, 3), (0, 3)]
+        self.check_against_oracle(lru, (topology, caches, consumers, [2, 3], 2, draws))
+
+    def test_static_run_memory_stays_narrow(self):
+        # n = 989, and every provider holds the top ten items, so the top
+        # items' holder set spans all 297 providers: one static run traced
+        # 2.5 MB with holder ids as narrow as the node ids, and 8.2 MB with
+        # int64 ones (numpy 2.4); the bound leaves 60% over the first
+        topology = generate_synthetic_topology("geometric", 1000,
+                                               0.078 * math.sqrt(0.33), 6)
+        roles = assign_roles(topology, 0.3, 0.3, seed=1)
+        assignment = place_noncollaborative(roles.providers,
+                                            ReplicationPolicy(0.5, 10, 100))
+        workload = generate_interests(zipf_catalog(100), roles.consumers, 5000, seed=2)
+        cache = PathCache(topology)
+        expected = run_simulation(topology, assignment, roles, workload, path_cache=cache)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            metrics = run_simulation(topology, assignment, roles, workload,
+                                     path_cache=cache)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert metrics == expected and metrics.satisfied_from_cache > 0
+        assert peak < 4_000_000
+
     @staticmethod
     def check_against_oracle(lru, case, cache=None):
         topology, caches, consumers, providers, capacity, draws = case
@@ -432,6 +483,18 @@ class TestPathCacheReuse:
         assert set(sources) == dists.keys() and set(targets) == hops.keys()
         assert all(cache.dist_from(s) is dist for s, dist in dists.items())
         assert all(cache.next_hops(t) is tree for t, tree in hops.items())
+
+    def test_self_served_consumers_read_no_distances(self, monkeypatch):
+        # consumer 0 holds the one item it asks for and the origin 3 serves
+        # itself, so only consumer 1 looks for a holder
+        topo = line_topology(4)
+        sources = self.record(monkeypatch, "dist_from")
+        metrics = run_simulation(topo, static_assignment({0: (0,)}),
+                                 roles_of([0, 1, 3], [0]),
+                                 workload_of([(0, 0), (3, 1), (1, 0), (0, 0)]),
+                                 path_cache=PathCache(topo))
+        assert sources == [1]
+        assert (metrics.satisfied_self, metrics.satisfied_from_cache) == (3, 1)
 
     @pytest.mark.parametrize("lru", [False, True])
     def test_routing_never_calls_paths_from(self, monkeypatch, lru):
