@@ -68,11 +68,10 @@ class SimMetrics:
 def _choose_server(cache: PathCache, holders, consumer: int):
     """First routing step of an LRU interest: the holder nearest to
     ``consumer``, ties to the smaller id, where the origin always holds the
-    item.  Returns ``(served_from, server, hops)``, ``hops`` the server's
-    distance."""
+    item.  A consumer that holds the item, or is the origin, is the one
+    holder at distance 0 and serves itself.  Returns ``(served_from, server,
+    hops)``, ``hops`` the server's distance."""
     origin = cache.topology.origin
-    if consumer in holders or consumer == origin:
-        return "self", consumer, 0
     dist = cache.dist_from(consumer)
     best, server = dist[origin], origin
     if best == UNREACHABLE:
@@ -83,78 +82,66 @@ def _choose_server(cache: PathCache, holders, consumer: int):
             best, server = d, h
     if server is None:
         return "none", None, None
-    return ("origin" if server == origin else "cache"), server, best
+    outcome = "self" if best == 0 else "origin" if server == origin else "cache"
+    return outcome, server, best
+
+
+def _check_draws(pairs, consumers) -> None:
+    """Raise on the first (consumer, item) draw whose consumer lacks the
+    consumer role or whose item rank lies outside [0, 2^63)."""
+    consumers = set(consumers)
+    for c, item in pairs:
+        if c not in consumers:
+            raise ValueError(f"workload consumer {c} lacks the consumer role")
+        if not 0 <= item < 2 ** 63:
+            raise ValueError(f"invalid item rank {item}")
 
 
 def _route_static(cache: PathCache, assignment: CacheAssignment,
                   roles: RoleAssignment, draws):
     """Every distinct (consumer, item) pair of a static run routed at once and
     weighted by its count, by :func:`_choose_server`'s rule.  Pairs are
-    grouped by the size of their item's holder set (the holders plus the
+    grouped by the size of their item's holder list (the holders plus the
     origin, ascending), so each group picks its servers with one (pairs ×
     holders) gather of stored distance rows and one ``argmin``: the first
-    least distance is the least (distance, id).  Returns the interests per
-    outcome, the cache responses per node, and the (consumer, server, hops)
-    route of each pair served from a cache or the origin with its count."""
+    least distance is the least (distance, id), and a pair served at
+    distance 0 serves itself.  Returns the interests per outcome, the cache
+    responses per node, and the (consumer, server, hops) route of each pair
+    served from a cache or the origin with its count."""
     topology = cache.topology
     n, origin = topology.node_count, topology.origin
     tally = Counter(draws)  # keys in first-seen order
+    _check_draws(tally, roles.consumers)
     pairs = np.fromiter(chain.from_iterable(tally), np.int64,
                         count=2 * len(tally)).reshape(-1, 2)
     counts = np.fromiter(tally.values(), np.int64, count=len(tally))
     consumer, item = pairs.T
-    is_consumer = np.isin(consumer, roles.consumers)
-    bad = np.flatnonzero(~is_consumer | (item < 0))
-    if bad.size:  # the first bad draw decides the message
-        c, rank = pairs[bad[0]].tolist()
-        if not is_consumer[bad[0]]:
-            raise ValueError(f"workload consumer {c} lacks the consumer role")
-        raise ValueError(f"invalid item rank {rank}")
-    # the holders of each requested item and the origin, ascending, as the
-    # sorted item-major keys item_index * n + node
     items, at = np.unique(item, return_inverse=True)
-    nodes = assignment.nodes()
-    parts = [assignment.items_at(v) for v in nodes]
-    held = np.fromiter(chain.from_iterable(parts), np.int64)
-    node = np.repeat(np.array(nodes, dtype=np.int64), list(map(len, parts)))
-    requested = np.isin(held, items)
-    keys = np.sort(np.concatenate([
-        np.searchsorted(items, held[requested]) * n + node[requested],
-        np.arange(items.size) * n + origin]))
-    # each key once; a plain np.unique would import numpy.ma (over 1 MB of
-    # process memory) for its masked-array check
-    keys = keys[np.diff(keys, prepend=-1) > 0]
-    node_of, item_of = keys % n, keys // n
-    size = np.bincount(item_of, minlength=items.size)
-    first = np.cumsum(size) - size
-    # the consumer holds the item, or is the origin: node-major keys, so that
-    # no consumer id, in range or not, matches another item's holder; both
-    # key sets are distinct, which spares isin its np.unique calls
-    own = np.isin(consumer * items.size + at, node_of * items.size + item_of,
-                  assume_unique=True)
-    # one stored distance row per consumer that looks for a holder, stacked
-    # in its stored dtype and read unsigned: UNREACHABLE is the largest
-    look = np.flatnonzero(~own)
-    sources, row = np.unique(consumer.take(look), return_inverse=True)
+    holders = assignment.holders_by_item()
+    lists = [sorted(holders.get(i, set()) | {origin}) for i in items.tolist()]
+    size = np.fromiter(map(len, lists), np.int64, count=len(lists))
+    # the stored distance row of every consumer, stacked in its stored dtype
+    # and read unsigned: UNREACHABLE is the largest
+    sources, row = np.unique(consumer, return_inverse=True)
     dist = np.array([cache.dist_from(u) for u in sources.tolist()])
     dist = dist.view(f"u{dist.itemsize}")
-    # holder ids as narrow as the node ids, so no (pairs × holders) array
-    # is wider than they are
-    holders = node_of.astype(np.min_scalar_type(n))
     server = np.zeros(len(tally), dtype=np.int64)
     hops = np.zeros(len(tally), dtype=np.int64)
-    look_size = size.take(at.take(look))
-    for s in np.flatnonzero(np.bincount(look_size)).tolist():  # sizes that occur
-        in_group = look_size == s
-        sel = look[in_group]
+    pair_size = size.take(at)
+    for s in np.flatnonzero(np.bincount(pair_size)).tolist():  # sizes that occur
+        sel = np.flatnonzero(pair_size == s)
         group_items = np.flatnonzero(size == s)
-        group = holders.take(first.take(group_items)[:, None] + np.arange(s))
+        # holder ids as narrow as the node ids, so no (pairs × holders) array
+        # is wider than they are
+        group = np.array([lists[j] for j in group_items.tolist()],
+                         dtype=np.min_scalar_type(n))
         group = group.take(np.searchsorted(group_items, at.take(sel)), axis=0)
-        d = dist[row[in_group][:, None], group]
+        d = dist[row.take(sel)[:, None], group]
         best = d.argmin(axis=1)
         pick = np.arange(sel.size)
         hops[sel] = d[pick, best]
         server[sel] = group[pick, best]
+    own = hops == 0
     reached = ~own & (hops < np.iinfo(dist.dtype).max)
     at_cache = reached & (server != origin)
     responses = np.zeros(n, dtype=np.int64)
@@ -176,7 +163,7 @@ def _route_lru(cache: PathCache, assignment: CacheAssignment,
     A route's hops never change within a run, so the providers of each
     origin-served (consumer, server) route are memoized."""
     n = cache.topology.node_count
-    consumer_set = set(roles.consumers)
+    _check_draws(draws, roles.consumers)
     holders: dict[int, set[int]] = assignment.holders_by_item()
     empty: set[int] = set()
     served: Counter[str] = Counter()
@@ -193,10 +180,6 @@ def _route_lru(cache: PathCache, assignment: CacheAssignment,
                for v in assignment.nodes())
     route_providers: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for c, item in draws:
-        if c not in consumer_set:
-            raise ValueError(f"workload consumer {c} lacks the consumer role")
-        if item < 0:
-            raise ValueError(f"invalid item rank {item}")
         outcome, server, hops_away = _choose_server(cache, holders.get(item, empty), c)
         served[outcome] += 1
         if outcome == "cache":

@@ -72,7 +72,9 @@ MUTANTS = (
            "-np.arange(1, hops[0])", "-np.arange(2, hops[0] + 1)",
            (SIMULATOR + "TestRouteInterest::test_served_by_origin_with_forward",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]",
-            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]",
+            SIMULATOR + "TestCbcAgreement::test_forward_total_is_cbc_total",
+            SIMULATOR + "TestCbcAgreement::test_tie_free_trees_agree_per_node")),
     Mutant("the LRU walk one step short", "simulator.py",
            "for _ in range(hops_away - 1):\n                if v in provider_set",
            "for _ in range(hops_away - 2):\n                if v in provider_set",
@@ -88,17 +90,23 @@ MUTANTS = (
            (SIMULATOR + "TestRouteInterest::test_nearest_holder_tie_smaller_id",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
     Mutant("the self-served mark dropped", "simulator.py",
-           "own = np.isin(consumer * items.size + at, node_of * items.size + item_of,\n"
-           "                  assume_unique=True)",
-           "own = np.zeros(len(tally), dtype=bool)",
+           "own = hops == 0", "own = np.zeros(len(tally), dtype=bool)",
            (SIMULATOR + "TestRouteInterest::test_self_served",
-            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-False]")),
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-False]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[self_served-False]",
+            SIMULATOR + "TestCbcAgreement::test_forward_total_is_cbc_total")),
     Mutant("UNREACHABLE read as the nearest distance", "simulator.py",
            'dist = dist.view(f"u{dist.itemsize}")', "dist = dist.view(dist.dtype)",
            (SIMULATOR + "TestRouteInterest::test_unreachable",
-            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
-    Mutant("distances read for consumers that serve themselves", "simulator.py",
-           "sources, row = np.unique(consumer.take(look), return_inverse=True)",
-           "sources = np.unique(consumer); row = np.searchsorted(sources, consumer.take(look))",
-           (SIMULATOR + "TestPathCacheReuse::test_self_served_consumers_read_no_distances",)),
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]",
+            SIMULATOR + "TestCbcAgreement::test_forward_total_is_cbc_total")),
+    # one nearest-holder rule and one draw check for both branches
+    Mutant("an LRU consumer never serves itself", "simulator.py",
+           '"self" if best == 0', '"self" if best < 0',
+           (SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-True]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[self_served-True]")),
+    Mutant("ranks past int64 accepted", "simulator.py",
+           "if not 0 <= item < 2 ** 63:", "if not 0 <= item:",
+           (SIMULATOR + "TestRunSimulation::test_rank_outside_int64_rejected[9223372036854775808-False]",
+            SIMULATOR + "TestRunSimulation::test_rank_outside_int64_rejected[9223372036854775808-True]")),
 )

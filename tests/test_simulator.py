@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
-from fogcache.centrality import ReplicationPolicy
+from fogcache.centrality import CentralityScores, ReplicationPolicy, cbc_exact
 from fogcache.graph import _BATCH, UNREACHABLE, PathCache, from_edges
-from fogcache.placement import (CacheAssignment, place_greedy_popular,
+from fogcache.placement import (CacheAssignment, place_fog, place_greedy_popular,
                                 place_noncollaborative)
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
                                 pooled_hit_rate, run_simulation, success_rate,
@@ -266,6 +266,18 @@ class TestRunSimulation:
                            lru_enabled=lru)
 
     @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("rank", [2 ** 63, 2 ** 64, -2 ** 63 - 1])
+    def test_rank_outside_int64_rejected(self, lru, rank):
+        # both branches take ranks in [0, 2^63): a static run packs the
+        # draws as int64, and an LRU run rejects what a static one cannot
+        # route
+        with pytest.raises(ValueError, match=f"invalid item rank {rank}$"):
+            run_simulation(line_topology(3), static_assignment({}),
+                           roles_of([0], [1]),
+                           workload_of([(0, 0), (0, rank), (0, 1)]),
+                           lru_enabled=lru)
+
+    @pytest.mark.parametrize("lru", [False, True])
     @pytest.mark.parametrize("bad", [-2, 4])
     def test_assignment_node_outside_topology_rejected(self, lru, bad):
         # rejected before any route is read: as an index, -2 would read the
@@ -315,13 +327,15 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("lru", [False, True])
     @pytest.mark.parametrize("case", ["empty", "rank_past_catalog",
-                                      "origin_in_assignment", "origin_consumer"])
+                                      "origin_in_assignment", "origin_consumer",
+                                      "self_served"])
     def test_matches_naive_oracle_edge_cases(self, lru, case):
         # a 6-node path with a chord 1-4, origin 5
         topology = from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)],
                               origin_spec=5)
         caches = {2: (0,), 3: (1, 0)}
-        consumers, draws = [0, 1], [(0, 0), (1, 1), (0, 2), (1, 0), (0, 0)]
+        consumers, providers = [0, 1], [2, 3]
+        draws = [(0, 0), (1, 1), (0, 2), (1, 0), (0, 0)]
         if case == "empty":
             draws = []
         elif case == "rank_past_catalog":
@@ -330,10 +344,16 @@ class TestRunSimulation:
             draws += [(0, 2 ** 62), (1, 2 ** 62), (0, 2 ** 62)]
         elif case == "origin_in_assignment":
             caches[5] = (1, 2)
-        else:  # the origin consumes, and serves itself
+        elif case == "origin_consumer":  # the origin consumes, and serves itself
             consumers.append(5)
             draws += [(5, 0), (5, 3), (0, 3)]
-        self.check_against_oracle(lru, (topology, caches, consumers, [2, 3], 2, draws))
+        else:  # consumer 0 holds the one item it asks for, and the origin 3
+            # serves itself, so only consumer 1 routes an interest
+            topology, caches = line_topology(4), {0: (0,)}
+            consumers, providers = [0, 1, 3], [0]
+            draws = [(0, 0), (3, 1), (1, 0), (0, 0)]
+        self.check_against_oracle(lru, (topology, caches, consumers, providers, 2,
+                                        draws))
 
     def test_static_run_memory_stays_narrow(self):
         # n = 989, and every provider holds the top ten items, so the top
@@ -396,6 +416,10 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="invalid item rank -1"):
             run_simulation(topo, static_assignment({}), roles_of([0], [1]),
                            workload_of([(0, 0), (0, -1), (1, 0)]),
+                           lru_enabled=lru)
+        with pytest.raises(ValueError, match="consumer 1 lacks the consumer role"):
+            run_simulation(topo, static_assignment({}), roles_of([0], [1]),
+                           workload_of([(0, 0), (1, 0), (0, 2 ** 63)]),
                            lru_enabled=lru)
 
 
@@ -484,18 +508,6 @@ class TestPathCacheReuse:
         assert all(cache.dist_from(s) is dist for s, dist in dists.items())
         assert all(cache.next_hops(t) is tree for t, tree in hops.items())
 
-    def test_self_served_consumers_read_no_distances(self, monkeypatch):
-        # consumer 0 holds the one item it asks for and the origin 3 serves
-        # itself, so only consumer 1 looks for a holder
-        topo = line_topology(4)
-        sources = self.record(monkeypatch, "dist_from")
-        metrics = run_simulation(topo, static_assignment({0: (0,)}),
-                                 roles_of([0, 1, 3], [0]),
-                                 workload_of([(0, 0), (3, 1), (1, 0), (0, 0)]),
-                                 path_cache=PathCache(topo))
-        assert sources == [1]
-        assert (metrics.satisfied_self, metrics.satisfied_from_cache) == (3, 1)
-
     @pytest.mark.parametrize("lru", [False, True])
     def test_routing_never_calls_paths_from(self, monkeypatch, lru):
         # routing reads distances and next hops only, never σ or BFS order
@@ -505,6 +517,80 @@ class TestPathCacheReuse:
                             mock.Mock(side_effect=AssertionError))
         assert run_simulation(topo, assignment, roles, workload, lru,
                               PathCache(topo)) == expected
+
+
+class TestCbcAgreement:
+    """CBC scores a node by the consumer -> nearest-holder shortest paths
+    through it; a static run forwards each interest along one of them.  When
+    each consumer draws each item once, both count d - 1 interior nodes per
+    pair served at distance d (CBC's split over equidistant holders sums to
+    1), and 0 for self-served and unreachable pairs."""
+
+    CATALOG = 6
+
+    @staticmethod
+    def both(topology, assignment, consumers, providers, catalog_size):
+        """Per-node forwards of a static run in which each consumer draws
+        each item once, and the exact CBC raw scores of its placement."""
+        draws = [(c, i) for c in consumers for i in range(catalog_size)]
+        metrics = run_simulation(topology, assignment, roles_of(consumers, providers),
+                                 workload_of(draws))
+        placement = {v: set(assignment.items_at(v)) for v in assignment.nodes()}
+        return metrics.forwards, cbc_exact(topology, consumers, placement,
+                                           catalog_size).raw
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=simulation_cases(), scheme=st.sampled_from(["drawn", "no_fog", "fog"]),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]), buffer_items=st.integers(1, 3),
+           score_seed=st.integers(0, 1_000))
+    def test_forward_total_is_cbc_total(self, case, scheme, alpha, buffer_items,
+                                        score_seed):
+        # simulation_cases draws disconnected snapshots, an origin out of
+        # reach, and caches at a consumer and at the origin
+        topology, caches, consumers, providers, capacity, _ = case
+        policy = ReplicationPolicy(alpha, buffer_items, self.CATALOG)
+        if scheme == "drawn":
+            assignment = static_assignment(caches, capacity)
+        elif scheme == "no_fog":
+            assignment = place_noncollaborative(providers, policy)
+        else:  # the fog in the order of random scores
+            rng = random.Random(score_seed)
+            raw = tuple(float(rng.randrange(3)) for _ in range(topology.node_count))
+            assignment = place_fog(CentralityScores("random", raw, raw), providers,
+                                   policy)
+        forwards, raw = self.both(topology, assignment, consumers, providers,
+                                  self.CATALOG)
+        assert math.isclose(sum(forwards), math.fsum(raw), rel_tol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 12), seed=st.integers(0, 100_000))
+    def test_tie_free_trees_agree_per_node(self, n, seed):
+        # a tree has one shortest path per pair; an item whose nearest
+        # holders tie for some consumer is left at the origin alone, so both
+        # layers pick the same holder and path for every pair
+        rng = random.Random(seed)
+        ids = rng.sample(range(n), n)
+        topology = from_edges([(ids[i], ids[rng.randrange(i)]) for i in range(1, n)],
+                              origin_spec=rng.randrange(n))
+        origin = topology.origin
+        others = [v for v in range(n) if v != origin]
+        consumers = sorted(rng.sample(others, rng.randint(1, len(others))))
+        providers = [v for v in others if v not in consumers and rng.random() < 0.7]
+        holding = providers + [c for c in consumers if rng.random() < 0.2]
+        caches = {v: set(rng.sample(range(self.CATALOG), rng.randint(0, 3)))
+                  for v in holding}
+        dists = [plain_bfs_dist(topology.adjacency, c) for c in consumers]
+        for item in range(self.CATALOG):
+            holders = {v for v, items in caches.items() if item in items} | {origin}
+            for dist in dists:
+                nearest = sorted(dist[h] for h in holders)
+                if nearest[1:2] == nearest[:1]:
+                    for items in caches.values():
+                        items.discard(item)
+                    break
+        forwards, raw = self.both(topology, static_assignment(caches), consumers,
+                                  sorted(holding), self.CATALOG)
+        assert list(raw) == list(map(float, forwards))
 
 
 class TestMetrics:
