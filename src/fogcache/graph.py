@@ -58,6 +58,32 @@ class ShortestPathData:
     order: tuple[int, ...]
 
 
+def _csr(node_count: int, tails: np.ndarray, heads: np.ndarray):
+    """CSR arrays of the arcs ``tails[k] -> heads[k]`` over nodes
+    0..node_count-1: int64 row offsets, and each row's heads in ascending
+    order."""
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=node_count), out=indptr[1:])
+    # stable: fast on the sorted arcs of adjacency lists, and it keeps
+    # numpy's SIMD quicksort (about 0.4 MB of resident code) out of the process
+    return indptr, np.sort(tails * node_count + heads, kind="stable") % node_count
+
+
+def _arcs(adjacency):
+    """Tails and heads (int64) of every arc of adjacency lists, in list order."""
+    degree = np.fromiter(map(len, adjacency), np.int64, count=len(adjacency))
+    heads = np.fromiter(chain.from_iterable(adjacency), np.int64,
+                        count=int(degree.sum()))
+    return np.repeat(np.arange(len(adjacency)), degree), heads
+
+
+def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The adjacency tuples of CSR arrays, sharing one Python int per node."""
+    flat = np.arange(indptr.size - 1).astype(object).take(indices).tolist()
+    ends = indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+
 def from_edges(edges, nodes=None, origin_spec="auto"):
     """Build a validated Topology from an iterable of original-id edge pairs.
 
@@ -65,7 +91,7 @@ def from_edges(edges, nodes=None, origin_spec="auto"):
     is an original node id, or "auto" for the max-degree node (ties: smallest
     original id).
     """
-    node_set = set(nodes) if nodes else set()
+    node_set = set(nodes) if nodes is not None else set()
     if node_set and min(node_set) < 0:
         raise ValueError(f"negative node id in nodes ({min(node_set)})")
     edge_set = set()
@@ -81,11 +107,10 @@ def from_edges(edges, nodes=None, origin_spec="auto"):
         raise ValueError("empty graph: no nodes or edges")
     original_ids = tuple(sorted(node_set))
     dense = {orig: i for i, orig in enumerate(original_ids)}
-    adj: list[set[int]] = [set() for _ in original_ids]
-    for a, b in edge_set:
-        adj[dense[a]].add(dense[b])
-        adj[dense[b]].add(dense[a])
-    adjacency = tuple(tuple(sorted(s)) for s in adj)
+    pairs = np.array([dense[v] for edge in edge_set for v in edge],
+                     dtype=np.int64).reshape(-1, 2)
+    adjacency = _adjacency(*_csr(len(original_ids),
+                                 *np.concatenate([pairs, pairs[:, ::-1]]).T))
     if origin_spec == "auto":
         origin = max(range(len(adjacency)),
                      key=lambda v: (len(adjacency[v]), -original_ids[v]))
@@ -168,9 +193,19 @@ def bfs_shortest_paths(topology: Topology, source: int) -> ShortestPathData:
 
 def farness(topology: Topology) -> tuple[list[int], list[int]]:
     """Per node, the number of other nodes it reaches and the sum of its hop
-    distances to them, from one all-sources BFS over packed uint64 bitset
-    rows (Then et al., VLDB 2014): round k ORs each neighbour's previous
-    reach into a node's reach, and every newly set bit lies at distance k.
+    distances to them, from one all-sources BFS (see :func:`_farness`)."""
+    size, far, _ = _farness(*_csr(topology.node_count, *_arcs(topology.adjacency)))
+    return (size - 1).tolist(), far.tolist()
+
+
+def _farness(indptr: np.ndarray, indices: np.ndarray):
+    """All-sources BFS over the CSR arrays of an undirected graph, on packed
+    uint64 bitset rows (Then et al., VLDB 2014): round k ORs each
+    neighbour's previous reach into a node's reach, and every newly set bit
+    lies at distance k.  Returns, per node, the number of nodes it reaches
+    (itself included) and the sum of its hop distances to them, as int64,
+    and its final reach row: ``reach[v]`` holds bit w (bit w % 64 of word
+    w // 64) for every node w that v reaches, so it is v's component.
 
     Rows are labelled by descending degree, so the rows with a j-th
     neighbour form a prefix: while that "slot" spans at least
@@ -178,14 +213,12 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
     neighbours of the fewer, larger rows go through ``reduceat`` in runs
     that gather under 2n rows each, so the numpy calls per round do not grow
     with the maximum degree."""
-    adjacency = topology.adjacency
-    n = len(adjacency)
-    degree = np.fromiter(map(len, adjacency), np.int64, count=n)
+    n = indptr.size - 1
+    degree = np.diff(indptr)
     perm = np.argsort(-degree, kind="stable")  # row -> node
     rank = np.argsort(perm)  # node -> row
-    indices = rank.take(np.fromiter(chain.from_iterable(adjacency), np.int64,
-                                    count=int(degree.sum())))
-    starts = (np.cumsum(degree) - degree).take(perm)
+    indices = rank.take(indices)
+    starts = indptr.take(perm)
     # rows[j]: how many rows have more than j neighbours (a prefix of rows)
     rows = n - np.cumsum(np.bincount(degree))
     cut = int(np.count_nonzero(rows >= _SLOT_ROWS))
@@ -198,9 +231,9 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
     bounds = [*np.flatnonzero(np.diff(seg // n, prepend=-1)).tolist(), big]
     runs = [(a, b, rest[seg[a]:seg[b - 1] + extra[b - 1]], seg[a:b] - seg[a])
             for a, b in zip(bounds, bounds[1:])]
-    ids = np.arange(n)
+    # a row's bits name nodes, not rows
     reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    reach[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+    reach[np.arange(n), perm // 64] = np.uint64(1) << (perm % 64).astype(np.uint64)
     new = np.empty_like(reach)
     size = np.ones(n, dtype=np.int64)  # bits set per row
     far = np.zeros(n, dtype=np.int64)
@@ -212,7 +245,7 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
             new[a:b] |= np.bitwise_or.reduceat(reach.take(nbrs, axis=0), offsets, axis=0)
         grown = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
         if np.array_equal(grown, size):
-            return (size - 1).take(rank).tolist(), far.take(rank).tolist()
+            return size.take(rank), far.take(rank), reach.take(rank, axis=0)
         far += k * (grown - size)
         size, reach, new = grown, new, reach
 
@@ -265,12 +298,10 @@ class PathCache:
         self._hops: dict[int, memoryview] = {}
         # CSR adjacency (with each entry's tail), and one int per node id:
         # taking from it builds the order tuples faster than boxing each id
-        adjacency = topology.adjacency
-        self._indptr = np.cumsum([0, *map(len, adjacency)])
-        self._indices = np.fromiter(chain.from_iterable(adjacency), np.int64,
-                                    count=self._indptr[-1])
-        self._tails = np.repeat(np.arange(len(adjacency)), np.diff(self._indptr))
-        self._ids = np.arange(len(adjacency)).astype(object)
+        n = topology.node_count
+        self._tails, heads = _arcs(topology.adjacency)
+        self._indptr, self._indices = _csr(n, self._tails, heads)
+        self._ids = np.arange(n).astype(object)
 
     def bfs_levels(self, sources) -> list[BFSLevel]:
         """Level-synchronous BFS from every node of ``sources`` at once over a

@@ -21,6 +21,7 @@ class Mutant(NamedTuple):
 GRAPH = "tests/test_graph.py::"
 CENTRALITY = "tests/test_centrality.py::"
 SIMULATOR = "tests/test_simulator.py::"
+SYNTHETIC = "tests/test_experiment.py::"
 
 MUTANTS = (
     # PathCache hands out its stored rows
@@ -54,7 +55,7 @@ MUTANTS = (
            "np.diff(self._tails.take(closer), append=dist.size)",
            (GRAPH + "TestNextHops::test_smallest_predecessor",
             SIMULATOR + "TestRouteInterest::test_next_hop_tie_smallest_id")),
-    # farness as a packed-bitset BFS
+    # farness as a packed-bitset BFS over CSR arrays
     Mutant("farness slot 0 dropped", "graph.py",
            "for j in range(cut)]", "for j in range(1, cut)]",
            (GRAPH + "TestFarness::test_star_with_more_than_64_leaves",
@@ -67,6 +68,22 @@ MUTANTS = (
            "seg[a:b] - seg[a])", "seg[a:b])",
            (GRAPH + "TestFarness::test_hubs_joined_to_every_leaf",
             GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-64]")),
+    # the generator's array passes: the cell list, and the giant component
+    # and origin read off the farness pass
+    Mutant("giant tie to the larger id", "synthetic.py",
+           "reach[size.argmax()]", "reach[len(size) - 1 - size[::-1].argmax()]",
+           (SYNTHETIC + "TestSynthetic::test_matches_naive_pipeline",)),
+    Mutant("a diagonal neighbour cell dropped", "synthetic.py",
+           "side - 1, side, side + 1])", "side - 1, side])",
+           (SYNTHETIC + "TestGeometricEdges::test_matches_pair_scan",
+            SYNTHETIC + "TestGeneratedGraphsPinned::test_default_topologies")),
+    Mutant("<= -> < in the radius test", "synthetic.py",
+           "within = dist2 <= r2", "within = dist2 < r2",
+           (SYNTHETIC + "TestGeometricEdges::test_matches_pair_scan",
+            SYNTHETIC + "TestGeometricEdges::test_cell_edges_and_exact_radius_kept")),
+    Mutant("the ** re-check dropped", "synthetic.py",
+           "dist2[p] = (xi - xj) ** 2 + (yi - yj) ** 2", "dist2[p] = dist2[p]",
+           (SYNTHETIC + "TestGeometricEdges::test_matches_pair_scan",)),
     # bounded route walks: the stacked forward walk and the LRU providers walk
     Mutant("the forward walk one step short", "simulator.py",
            "-np.arange(1, hops[0])", "-np.arange(2, hops[0] + 1)",

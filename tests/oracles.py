@@ -2,18 +2,21 @@
 
 Everything here recomputes from first principles (plain-dict BFS, a
 per-source Python BFS, explicit path enumeration, hop-by-hop routing) and
-deliberately shares no code with the package, except ``per_source_betweenness``:
-one ``python_bfs`` and one ``_accumulate`` pass per source.  The package runs
-neither a per-source BFS nor that pass for betweenness; they are kept as the
-bit-exact reference for the batched ones.
+deliberately shares no code with the package, except two references for
+passes the package no longer runs.  ``per_source_betweenness`` is one
+``python_bfs`` and one ``_accumulate`` pass per source, the bit-exact
+reference for the batched ones; ``naive_synthetic_topology`` builds the
+generator's graphs through ``from_edges`` and ``connected_components``.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict, deque
 
 from fogcache.centrality import _accumulate
-from fogcache.graph import UNREACHABLE, ShortestPathData
+from fogcache.graph import (UNREACHABLE, ShortestPathData, connected_components,
+                            from_edges)
 
 
 def adjacency_sets(topology):
@@ -230,3 +233,33 @@ def geometric_pair_scan(points, radius):
     node_count, pts, r2 = len(points), points, radius * radius
     return [(i, j) for i in range(node_count) for j in range(i + 1, node_count)
             if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= r2]
+
+
+def naive_synthetic_topology(kind, node_count, density, seed):
+    """``generate_synthetic_topology`` as a pipeline of Python passes, with
+    its input checks left out: the same seeded draws, the pair scan for the
+    geometric kind, a validated full graph, its components (the largest, ties
+    to the smallest member, is the giant) and plain-BFS farness for the
+    origin.  Raises ValueError on an empty edge set."""
+    rng = random.Random(seed)
+    if kind == "geometric":
+        points = [(rng.random(), rng.random()) for _ in range(node_count)]
+        edges = geometric_pair_scan(points, density)
+    elif kind == "grid":
+        rows = math.isqrt(node_count)
+        while node_count % rows:
+            rows -= 1
+        cols = node_count // rows
+        edges = [(i, i + 1) for i in range(node_count) if (i + 1) % cols]
+        edges += [(i, i + cols) for i in range(node_count - cols)]
+    else:
+        edges = random_edge_set(rng, node_count, density)
+    if not edges:
+        raise ValueError("generation parameters yielded an empty edge set")
+    full = from_edges(edges, nodes=range(node_count))
+    giant = max(connected_components(full), key=lambda c: (len(c), -min(c)))
+    adj = adjacency_sets(full)
+    far = {v: sum(plain_bfs_dist(adj, v).values()) for v in giant}
+    keep = set(giant)
+    return from_edges([(a, b) for a, b in edges if a in keep and b in keep],
+                      origin_spec=max(giant, key=lambda v: (far[v], -v)))

@@ -17,7 +17,8 @@ from fogcache.experiment import (CSV_COLUMNS, KNOBS, SCHEMES, ExperimentPlan,
                                  summary_text, table_to_csv)
 from fogcache.graph import connected_components, from_edges, serialize_topology
 from fogcache.synthetic import _geometric_edges, generate_synthetic_topology
-from oracles import adjacency_sets, geometric_pair_scan, plain_bfs_dist
+from oracles import (adjacency_sets, geometric_pair_scan,
+                     naive_synthetic_topology, plain_bfs_dist)
 
 
 def small_topology(seed=3):
@@ -71,6 +72,29 @@ class TestSynthetic:
         totals = [sum(plain_bfs_dist(adj, v).values()) for v in range(topo.node_count)]
         assert topo.origin == max(range(topo.node_count),
                                   key=lambda v: (totals[v], -v))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["geometric", "grid", "erdos_renyi"]),
+           st.integers(min_value=2, max_value=80),
+           st.floats(min_value=0, max_value=1.5),
+           st.integers(min_value=0, max_value=2**32))
+    # two 3-node components, (0, 1, 3) and (2, 4, 5): the one holding 0 wins
+    @example("geometric", 6, 0.4, 39)
+    @example("geometric", 5, 0.0, 0)  # no edges
+    def test_matches_naive_pipeline(self, kind, n, density, seed):
+        try:
+            expected = naive_synthetic_topology(kind, n, density, seed)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                generate_synthetic_topology(kind, n, density, seed)
+            return
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            topo = generate_synthetic_topology(kind, n, density, seed)
+        assert topo == expected
+        assert {type(v) for v in (topo.origin, *topo.original_ids,
+                                  *(w for row in topo.adjacency for w in row))} == {int}
+        assert len(caught) == (expected.node_count < 0.95 * n)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -142,6 +166,11 @@ def _point_sets(draw):
     return points, radius
 
 
+def _pairs(points, radius):
+    """The cell list's pairs, in the pair scan's (i, j) order."""
+    return sorted(map(tuple, _geometric_edges(points, radius).tolist()))
+
+
 class TestGeometricEdges:
     @settings(max_examples=80, deadline=None)
     @given(_point_sets())
@@ -153,9 +182,12 @@ class TestGeometricEdges:
     @example(([(0.24999999999999997, 0.5), (0.5, 0.5)] + _FILLER, 0.25))
     @example(([(0.2499999999999, 0.5), (0.5 + 1e-10, 0.5)] + _FILLER,
               0.25 * (1 + 0.5e-9)))
+    # a pair exactly `radius` apart: glibc 2.36's pow rounds its square one
+    # unit above x * x, so the pair scan's ** leaves out what x * x keeps
+    @example(([(0.0, 0.5), (0.12967700716400382, 0.5)], 0.12967700716400382))
     def test_matches_pair_scan(self, case):
         points, radius = case
-        assert _geometric_edges(points, radius) == geometric_pair_scan(points, radius)
+        assert _pairs(points, radius) == geometric_pair_scan(points, radius)
 
     def test_cell_edges_and_exact_radius_kept(self):
         # radius 7/32 over 40 points gives 4 cells of width 1/4: the lattice
@@ -166,7 +198,7 @@ class TestGeometricEdges:
         points = (lattice + [(x - r, y) for x, y in lattice if x > r]
                   + [(x, y - r) for x, y in lattice if y > r])
         assert len(points) == 40
-        edges = _geometric_edges(points, r)
+        edges = _pairs(points, r)
         assert edges == geometric_pair_scan(points, r)
         exact = Fraction(r) ** 2
         at_radius = [(i, j) for i, j in combinations(range(len(points)), 2)

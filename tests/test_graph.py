@@ -63,6 +63,20 @@ class TestLoadTopology:
         with pytest.raises(ValueError, match=r"negative node id in nodes \(-5\)"):
             from_edges([(0, 1)], nodes=[-5])
 
+    # a one-element array reads as false and a longer one has no truth value,
+    # so `nodes` is tested against None
+    @pytest.mark.parametrize("nodes", [[0], range(1), (0,), np.array([0]),
+                                       np.arange(4), np.array([3, 0])],
+                             ids=["list", "range", "tuple", "array1", "arange4",
+                                  "array2"])
+    def test_node_sequences_add_isolated_nodes(self, nodes):
+        topo = from_edges([(1, 2)], nodes=nodes)
+        ids = sorted({1, 2, *map(int, nodes)})
+        assert topo.original_ids == tuple(ids)
+        assert topo.adjacency == tuple((ids.index(2),) if v == 1 else
+                                       (ids.index(1),) if v == 2 else ()
+                                       for v in ids)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
             load_topology("0 x")

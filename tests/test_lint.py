@@ -173,6 +173,16 @@ def test_one_bfs_engine(path):
     assert defines(source, "bfs_shortest_paths") == (path.name == "graph.py")
 
 
+# the generator builds one Topology per graph, from the CSR arrays its
+# farness pass ran on: no validated full graph and no union-find; and every
+# CSR array in graph.py is read off the adjacency lists in one place
+def test_one_topology_build_per_generated_graph():
+    source = (PACKAGE / "synthetic.py").read_text()
+    assert calls_to(source, "connected_components") == []
+    assert calls_to(source, "from_edges") == []
+    assert (PACKAGE / "graph.py").read_text().count("chain.from_iterable") == 1
+
+
 def name_lines(source: str, name: str) -> list[int]:
     """Lines that read or bind the bare name ``name`` (imports aside)."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
