@@ -1,8 +1,9 @@
 """Connectivity graph: edge-list ingestion, BFS path counting, components."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -12,8 +13,11 @@ _INT64_MAX = 2**63 - 1
 # sources per batched BFS: a batch's arrays grow with it, and larger batches
 # gain little time for the memory (README, "Batched betweenness")
 _BATCH = 32
-# farness ORs a j-th-neighbour slot on its own while it spans this many rows
+# the all-sources BFS ORs a j-th-neighbour slot on its own while it spans
+# this many rows
 _SLOT_ROWS = 64
+# distances unpacked at a time from the bit-sliced round stamps
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,15 +91,17 @@ def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...]
 def from_edges(edges, nodes=None, origin_spec="auto"):
     """Build a validated Topology from an iterable of original-id edge pairs.
 
-    ``nodes`` may add isolated nodes beyond the edge endpoints.  ``origin_spec``
-    is an original node id, or "auto" for the max-degree node (ties: smallest
-    original id).
+    ``nodes`` may add isolated nodes beyond the edge endpoints.  Ids are
+    integers: numpy integers become Python ints, and a float id raises
+    ``TypeError``.  ``origin_spec`` is an original node id, or "auto" for the
+    max-degree node (ties: smallest original id).
     """
-    node_set = set(nodes) if nodes is not None else set()
+    node_set = set(map(operator.index, nodes)) if nodes is not None else set()
     if node_set and min(node_set) < 0:
         raise ValueError(f"negative node id in nodes ({min(node_set)})")
     edge_set = set()
     for a, b in edges:
+        a, b = operator.index(a), operator.index(b)
         if a == b:
             raise ValueError(f"self-loop edge on node {a}")
         if a < 0 or b < 0:
@@ -199,13 +205,70 @@ def farness(topology: Topology) -> tuple[list[int], list[int]]:
 
 
 def _farness(indptr: np.ndarray, indices: np.ndarray):
+    """Per node of the CSR arrays of an undirected graph, the number of nodes
+    it reaches (itself included) and the sum of its hop distances to them, as
+    int64, and its final reach row: ``reach[v]`` holds bit w (bit w % 64 of
+    word w // 64) for every node w that v reaches, so it is v's component.
+    A node at distance d is missing from the first d states of
+    :func:`_reach_rounds`, so the sum is the final size times the state count
+    less every state's size."""
+    rank, states = _reach_rounds(indptr, indices)
+    far = np.zeros(indptr.size - 1, dtype=np.int64)
+    for k, (reach, size) in enumerate(states, 1):
+        far -= size
+    far += k * size
+    return size.take(rank), far.take(rank), reach.take(rank, axis=0)
+
+
+def _distances(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The (n × n) hop distances of the CSR arrays of an undirected graph, in
+    the narrowest signed dtype for the round count of :func:`_reach_rounds`,
+    UNREACHABLE where no path.  Round k stamps k on every bit it sets, and
+    the bits never set take the round past the last one.  The stamps are
+    bit-sliced: plane p holds bit p of every stamp, packed like the reach
+    rows, so a round ORs its new bits into the planes of k's set bits.  The
+    planes are unpacked into the matrix in chunks of rows."""
+    n = indptr.size - 1
+    rank, states = _reach_rounds(indptr, indices)
+    planes = []
+
+    def stamp(k, bits):
+        if k == 1 << len(planes):  # k needs one more plane
+            planes.append(np.zeros_like(bits))
+        for p, plane in enumerate(planes):
+            if k >> p & 1:
+                plane |= bits
+
+    for k, (reach, _) in enumerate(states):
+        if k:
+            stamp(k, reach ^ last)
+        last = reach
+    k += 1
+    stamp(k, ~last)
+    dist = np.empty((n, n), dtype=np.min_scalar_type(-k))
+    stamps = dist.view(f"u{dist.itemsize}")  # UNREACHABLE is its largest value
+    step = max(1, _CHUNK // n)
+    for lo in range(0, n, step):
+        rows, out = rank[lo:lo + step], stamps[lo:lo + step]
+        out[...] = 0
+        for plane in reversed(planes):
+            out <<= 1
+            bits = plane.take(rows, axis=0).astype("<u8", copy=False).view(np.uint8)
+            out |= np.unpackbits(bits, axis=1, count=n, bitorder="little")
+        out[out == k] = np.iinfo(stamps.dtype).max
+    return dist
+
+
+def _reach_rounds(indptr: np.ndarray, indices: np.ndarray):
     """All-sources BFS over the CSR arrays of an undirected graph, on packed
     uint64 bitset rows (Then et al., VLDB 2014): round k ORs each
     neighbour's previous reach into a node's reach, and every newly set bit
-    lies at distance k.  Returns, per node, the number of nodes it reaches
-    (itself included) and the sum of its hop distances to them, as int64,
-    and its final reach row: ``reach[v]`` holds bit w (bit w % 64 of word
-    w // 64) for every node w that v reaches, so it is v's component.
+    lies at distance k.  Returns ``rank`` (node -> row) and a generator of
+    the states after rounds 0, 1, ...: the reach rows, where row ``rank[v]``
+    holds bit w (bit w % 64 of word w // 64) for every node w within k hops
+    of v, and the bits set per row, as int64.  It stops after the last round
+    that sets a bit.  A state's arrays are valid until the state after the
+    next one is asked for, and the last state's stay valid.
 
     Rows are labelled by descending degree, so the rows with a j-th
     neighbour form a prefix: while that "slot" spans at least
@@ -231,23 +294,26 @@ def _farness(indptr: np.ndarray, indices: np.ndarray):
     bounds = [*np.flatnonzero(np.diff(seg // n, prepend=-1)).tolist(), big]
     runs = [(a, b, rest[seg[a]:seg[b - 1] + extra[b - 1]], seg[a:b] - seg[a])
             for a, b in zip(bounds, bounds[1:])]
-    # a row's bits name nodes, not rows
-    reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
-    reach[np.arange(n), perm // 64] = np.uint64(1) << (perm % 64).astype(np.uint64)
-    new = np.empty_like(reach)
-    size = np.ones(n, dtype=np.int64)  # bits set per row
-    far = np.zeros(n, dtype=np.int64)
-    for k in count(1):
-        np.copyto(new, reach)
-        for slot in slots:
-            new[:slot.size] |= reach.take(slot, axis=0)
-        for a, b, nbrs, offsets in runs:
-            new[a:b] |= np.bitwise_or.reduceat(reach.take(nbrs, axis=0), offsets, axis=0)
-        grown = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
-        if np.array_equal(grown, size):
-            return size.take(rank), far.take(rank), reach.take(rank, axis=0)
-        far += k * (grown - size)
-        size, reach, new = grown, new, reach
+
+    def states():
+        # a row's bits name nodes, not rows
+        reach = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+        reach[np.arange(n), perm // 64] = np.uint64(1) << (perm % 64).astype(np.uint64)
+        new = np.empty_like(reach)
+        size = np.ones(n, dtype=np.int64)  # bits set per row
+        while True:
+            yield reach, size
+            np.copyto(new, reach)
+            for slot in slots:
+                new[:slot.size] |= reach.take(slot, axis=0)
+            for a, b, nbrs, offsets in runs:
+                new[a:b] |= np.bitwise_or.reduceat(reach.take(nbrs, axis=0), offsets, axis=0)
+            grown = np.bitwise_count(new).sum(axis=1, dtype=np.int64)
+            if np.array_equal(grown, size):
+                return
+            size, reach, new = grown, new, reach
+
+    return rank, states()
 
 
 def connected_components(topology: Topology) -> list[tuple[int, ...]]:
@@ -277,23 +343,25 @@ def connected_components(topology: Topology) -> list[tuple[int, ...]]:
 
 
 class PathCache:
-    """Per-source BFS results (distances, path counts and visitation order)
-    and per-target next-hop trees for one immutable topology.
+    """Hop distances, per-source path counts and visitation order, and
+    per-target next-hop trees for one immutable topology.
 
-    Every BFS runs through :meth:`bfs_levels` and stays as compact numpy rows
-    for the cache's lifetime: betweenness leaves every source's, batch by
-    batch, and a read of a source without a row runs the aligned block of
-    ``_BATCH`` ids that holds it.  :meth:`paths_from` builds a source's tuples
-    from its row on each call.  Routing reads read-only views:
-    :meth:`dist_from` hands out a source's stored ``dist`` row, and
-    :meth:`next_hops` a target's memoized tree, built in numpy.  Rows and
-    trees are never replaced (``dict.setdefault``), so concurrent readers
-    under the GIL are safe: racing readers of one source get the same objects.
+    It keeps two stores.  Every hop distance comes from one all-sources pass
+    (:func:`_distances`) when the cache is built, and :meth:`dist_from` hands
+    out a read-only view of a source's row, the same object on every read.
+    Path counts and BFS order run through :meth:`bfs_levels` and stay as
+    compact numpy rows for the cache's lifetime: betweenness leaves every
+    source's, batch by batch, and a read of a source without them runs the
+    aligned block of ``_BATCH`` ids that holds it.  :meth:`paths_from` builds
+    a source's tuples from its rows on each call, and :meth:`next_hops` hands
+    out a target's memoized read-only tree, built in numpy.  Rows and trees
+    are never replaced (``dict.setdefault``), so concurrent readers under the
+    GIL are safe: racing readers of one source get the same objects.
     """
 
     def __init__(self, topology: Topology):
         self.topology = topology
-        # per-source BFS rows (see _store) and per-target next-hop trees
+        # per-source σ and order rows (see _store) and per-target next-hop trees
         self._rows: dict[int, tuple] = {}
         self._hops: dict[int, memoryview] = {}
         # CSR adjacency (with each entry's tail), and one int per node id:
@@ -302,15 +370,18 @@ class PathCache:
         self._tails, heads = _arcs(topology.adjacency)
         self._indptr, self._indices = _csr(n, self._tails, heads)
         self._ids = np.arange(n).astype(object)
+        # one read-only view per source row of the distance matrix
+        dist = memoryview(_distances(self._indptr, self._indices).reshape(-1)).toreadonly()
+        self._dist = [dist[v * n:(v + 1) * n] for v in range(n)]
 
     def bfs_levels(self, sources) -> list[BFSLevel]:
         """Level-synchronous BFS from every node of ``sources`` at once over a
         CSR copy of the adjacency (Kepner & Gilbert 2011), with exact path
         counts: int64 while they fit, Python ints once a level's counts could
-        pass 2^63 - 1.  Caches each source's rows, from which
-        :meth:`paths_from` builds a :class:`ShortestPathData` equal to a
-        per-source Python BFS (a row already stored is kept), and returns
-        the levels, the sources first."""
+        pass 2^63 - 1.  Caches each source's σ and order rows, from which,
+        with its distance row, :meth:`paths_from` builds a
+        :class:`ShortestPathData` equal to a per-source Python BFS (rows
+        already stored are kept), and returns the levels, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
         degree = np.diff(indptr)
@@ -363,18 +434,13 @@ class PathCache:
         return levels
 
     def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
-        """Keep each source's BFS from ``levels``, unless it has a row, as
-        compact rows for :meth:`paths_from` to build its tuples from: a
-        read-only ``dist`` view in the narrowest signed dtype for the level
-        count, the BFS ``order`` in the narrowest dtype for n, and σ as an
-        index row into the batch's sorted distinct path counts, int64 unless
-        one of them passes 2^63 - 1."""
+        """Keep each source's path counts and BFS order from ``levels``,
+        unless it has rows, as compact rows for :meth:`paths_from` to build
+        its tuples from: the ``order`` in the narrowest dtype for n, and σ as
+        an index row into the batch's sorted distinct path counts, int64
+        unless one of them passes 2^63 - 1."""
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
-        dist = np.full(len(sources) * n, UNREACHABLE,
-                       dtype=np.min_scalar_type(-len(levels)))
-        dist[keys] = np.repeat(np.arange(len(levels)),
-                               [level.nodes.size for level in levels])
         # a leading 0 gives the unreached nodes index 0
         counts = np.concatenate([[0], *(level.sigma for level in levels)])
         if counts.dtype == object and counts.max() <= _INT64_MAX:
@@ -388,30 +454,32 @@ class PathCache:
                                kind="stable")  # a radix sort
         order = (keys.take(by_source) % n).astype(np.min_scalar_type(n))
         ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
-        dist = memoryview(dist).toreadonly()
         for b, (s, start, end) in enumerate(zip(sources, [0, *ends], ends)):
-            row = slice(b * n, (b + 1) * n)
-            self._rows.setdefault(s, (dist[row], values, sigma[row], order[start:end]))
+            self._rows.setdefault(s, (values, sigma[b * n:(b + 1) * n], order[start:end]))
 
     def _row(self, source: int) -> tuple:
-        """The BFS row of ``source``, after a BFS of its block if it has none."""
+        """The σ and order rows of ``source``, after a BFS of its block if it
+        has none."""
         if source not in self._rows:
-            n = self._ids.size
-            if not 0 <= source < n:
-                raise ValueError(f"invalid source id {source}")
-            start = source - source % _BATCH
-            self.bfs_levels(range(start, min(start + _BATCH, n)))
+            start = self._valid(source) - source % _BATCH
+            self.bfs_levels(range(start, min(start + _BATCH, self._ids.size)))
         return self._rows[source]
+
+    def _valid(self, source: int) -> int:
+        """``source``, unless it names no node."""
+        if not 0 <= source < self._ids.size:
+            raise ValueError(f"invalid source id {source}")
+        return source
 
     def dist_from(self, source: int) -> memoryview:
         """The stored read-only view of the hop distances from ``source``,
         UNREACHABLE where no path."""
-        return (self._rows.get(source) or self._row(source))[0]
+        return self._dist[self._valid(source)]
 
     def paths_from(self, source: int) -> ShortestPathData:
-        """The BFS of ``source``, built from its row on each call."""
-        dist, values, sigma, order = self._row(source)
-        return ShortestPathData(dist=tuple(dist.tolist()),
+        """The BFS of ``source``, built from its rows on each call."""
+        values, sigma, order = self._row(source)
+        return ShortestPathData(dist=tuple(self._dist[source].tolist()),
                                 sigma=tuple(values.take(sigma).tolist()),
                                 order=tuple(self._ids.take(order).tolist()))
 
@@ -420,7 +488,7 @@ class PathCache:
         smallest-id neighbour one hop closer to ``target``, or UNREACHABLE
         where there is none (``target`` itself and nodes it cannot reach)."""
         if target not in self._hops:
-            dist = np.asarray(self._row(target)[0])
+            dist = np.asarray(self._dist[self._valid(target)])
             # CSR entries (v, w) with w one hop closer: v ascends, and so does
             # w within v, so v's first entry holds its smallest-id hop
             closer = np.flatnonzero(dist.take(self._indices) == dist.take(self._tails) - 1)

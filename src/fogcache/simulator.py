@@ -10,7 +10,7 @@ from itertools import chain
 import numpy as np
 
 from .catalog import InterestWorkload
-from .graph import UNREACHABLE, PathCache, Topology, cache_for
+from .graph import PathCache, Topology, cache_for
 from .placement import CacheAssignment
 
 
@@ -65,27 +65,6 @@ class SimMetrics:
     unsatisfied: int = 0
 
 
-def _choose_server(cache: PathCache, holders, consumer: int):
-    """First routing step of an LRU interest: the holder nearest to
-    ``consumer``, ties to the smaller id, where the origin always holds the
-    item.  A consumer that holds the item, or is the origin, is the one
-    holder at distance 0 and serves itself.  Returns ``(served_from, server,
-    hops)``, ``hops`` the server's distance."""
-    origin = cache.topology.origin
-    dist = cache.dist_from(consumer)
-    best, server = dist[origin], origin
-    if best == UNREACHABLE:
-        best, server = len(dist), None  # farther than any reachable node
-    for h in holders:
-        d = dist[h]
-        if d != UNREACHABLE and (d < best or (d == best and h < server)):
-            best, server = d, h
-    if server is None:
-        return "none", None, None
-    outcome = "self" if best == 0 else "origin" if server == origin else "cache"
-    return outcome, server, best
-
-
 def _check_draws(pairs, consumers) -> None:
     """Raise on the first (consumer, item) draw whose consumer lacks the
     consumer role or whose item rank lies outside [0, 2^63)."""
@@ -100,12 +79,13 @@ def _check_draws(pairs, consumers) -> None:
 def _route_static(cache: PathCache, assignment: CacheAssignment,
                   roles: RoleAssignment, draws):
     """Every distinct (consumer, item) pair of a static run routed at once and
-    weighted by its count, by :func:`_choose_server`'s rule.  Pairs are
-    grouped by the size of their item's holder list (the holders plus the
-    origin, ascending), so each group picks its servers with one (pairs ×
-    holders) gather of stored distance rows and one ``argmin``: the first
-    least distance is the least (distance, id), and a pair served at
-    distance 0 serves itself.  Returns the interests per outcome, the cache
+    weighted by its count, by the nearest-holder rule: the least distance,
+    ties to the smaller id, where the origin always holds the item and a
+    consumer at distance 0 serves itself.  Pairs are grouped by the size of
+    their item's holder list (the holders plus the origin, ascending), so
+    each group picks its servers with one (pairs × holders) gather of stored
+    distance rows and one ``argmin``: the first least distance is the least
+    (distance, id).  Returns the interests per outcome, the cache
     responses per node, and the (consumer, server, hops) route of each pair
     served from a cache or the origin with its count."""
     topology = cache.topology
@@ -157,20 +137,19 @@ def _route_static(cache: PathCache, assignment: CacheAssignment,
 def _route_lru(cache: PathCache, assignment: CacheAssignment,
                roles: RoleAssignment, draws):
     """The interests of an LRU run in order, one at a time, with
-    :func:`_route_static`'s return values.  Every provider on the return path
-    of an origin-served interest inserts the item, evicting its
-    least-recently-used entry at capacity, and cache hits refresh recency.
-    A route's hops never change within a run, so the providers of each
-    origin-served (consumer, server) route are memoized."""
-    n = cache.topology.node_count
+    :func:`_route_static`'s return values and nearest-holder rule.  Each
+    consumer's distance row is read once per run, unsigned, so UNREACHABLE
+    is the largest.  Every provider on the return path of an origin-served
+    interest inserts the item, evicting its least-recently-used entry at
+    capacity, and cache hits refresh recency.  Served interests are keyed
+    ``consumer * n + server`` and counted once at the end.  A route's hops
+    never change within a run, so each origin-served route's (provider,
+    recency state) pairs are memoized by its key."""
+    topology = cache.topology
+    n, origin = topology.node_count, topology.origin
     _check_draws(draws, roles.consumers)
     holders: dict[int, set[int]] = assignment.holders_by_item()
     empty: set[int] = set()
-    served: Counter[str] = Counter()
-    responses = [0] * n
-    # interests routed per (consumer, server, hops); a plain dict, as a
-    # Counter's __missing__ on every new route is measurably slower
-    route_counts: dict[tuple[int, int, int], int] = {}
     provider_set = set(roles.providers)
     capacity = assignment.buffer_items
     # per-provider recency state, least-recent first; seed it with the
@@ -178,42 +157,63 @@ def _route_lru(cache: PathCache, assignment: CacheAssignment,
     lru = {v: OrderedDict() for v in provider_set}
     lru.update((v, OrderedDict.fromkeys(reversed(assignment.items_at(v))))
                for v in assignment.nodes())
-    route_providers: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    rows: dict[int, memoryview] = {}
+    keys: list[int] = []
+    route_providers: dict[int, tuple] = {}
+    toward_origin = None  # the origin's next-hop tree, read at its first route
+    own = 0
     for c, item in draws:
-        outcome, server, hops_away = _choose_server(cache, holders.get(item, empty), c)
-        served[outcome] += 1
-        if outcome == "cache":
-            responses[server] += 1
-            lru[server].move_to_end(item)
-        elif outcome != "origin":
+        row = rows.get(c)
+        if row is None:
+            row = cache.dist_from(c)
+            far = 256 ** row.itemsize - 1  # UNREACHABLE, read unsigned
+            row = rows[c] = row.cast("B").cast(row.format.upper())
+        best, server = row[origin], origin
+        for h in holders.get(item, empty):
+            d = row[h]
+            if d < best or (d == best and h < server):
+                best, server = d, h
+        if best == 0:
+            own += 1
             continue
-        route = (c, server, hops_away)
-        route_counts[route] = route_counts.get(route, 0) + 1
-        if outcome != "origin":
+        if best == far:
+            continue
+        key = c * n + server
+        keys.append(key)
+        if server != origin:
+            lru[server].move_to_end(item)
             continue
         # every hop is strictly nearer the consumer than the nearest holder,
         # so none of them holds the item and the insertion order across the
         # route's providers does not matter
-        on_route = route_providers.get(route)
+        on_route = route_providers.get(key)
         if on_route is None:
-            hops = cache.next_hops(server)
-            on_route, v = [], hops[c]
-            for _ in range(hops_away - 1):
+            if toward_origin is None:
+                toward_origin = cache.next_hops(origin)
+            on_route, v = [], toward_origin[c]
+            for _ in range(best - 1):
                 if v in provider_set:
-                    on_route.append(v)
-                v = hops[v]
-            on_route = route_providers[route] = tuple(on_route)
+                    on_route.append((v, lru[v]))
+                v = toward_origin[v]
+            on_route = route_providers[key] = tuple(on_route)
         item_holders = holders.setdefault(item, set())
-        for v in on_route:
-            state = lru[v]
+        for v, state in on_route:
             state[item] = None
             item_holders.add(v)
             if len(state) > capacity:
-                evicted, _ = state.popitem(last=False)
+                evicted, _ = state.popitem(False)
                 holders[evicted].discard(v)
-    routes = np.array(list(route_counts), dtype=np.int64).reshape(-1, 3)
-    counts = np.fromiter(route_counts.values(), np.int64, count=len(route_counts))
-    return served, np.array(responses, dtype=np.int64), routes, counts
+    pairs, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+    consumer, server = np.divmod(pairs, n)
+    hops = np.array([rows[c][s] for c, s in zip(consumer.tolist(), server.tolist())],
+                    dtype=np.int64)
+    at_cache = server != origin
+    responses = np.zeros(n, dtype=np.int64)
+    np.add.at(responses, server[at_cache], counts[at_cache])
+    cached = int(counts[at_cache].sum())
+    served = {"self": own, "cache": cached, "origin": len(keys) - cached,
+              "none": len(draws) - own - len(keys)}
+    return served, responses, np.column_stack([consumer, server, hops]), counts
 
 
 def _forward_counts(cache: PathCache, routes: np.ndarray,

@@ -26,24 +26,24 @@ SYNTHETIC = "tests/test_experiment.py::"
 MUTANTS = (
     # PathCache hands out its stored rows
     Mutant("writable distance rows", "graph.py",
-           "memoryview(dist).toreadonly()", "memoryview(dist)",
+           ".reshape(-1)).toreadonly()", ".reshape(-1))",
            (GRAPH + "TestNarrowViews::test_views_are_read_only",)),
     Mutant("a new distance view per read", "graph.py",
-           "(self._rows.get(source) or self._row(source))[0]",
-           "(self._rows.get(source) or self._row(source))[0][:]",
+           "return self._dist[self._valid(source)]",
+           "return self._dist[self._valid(source)][:]",
            (GRAPH + "TestPathCacheMiss::test_racing_readers_share_entries",
             GRAPH + "TestNarrowViews::test_views_are_read_only",
             CENTRALITY + "TestLazyRows::test_lookup_builds_only_its_source",
             SIMULATOR + "TestPathCacheReuse::test_second_run_builds_nothing")),
     Mutant("a later BFS replaces a stored row", "graph.py",
-           "self._rows.setdefault(s, (dist[row], values, sigma[row], order[start:end]))",
-           "self._rows[s] = (dist[row], values, sigma[row], order[start:end])",
+           "self._rows.setdefault(s, (values, sigma[b * n:(b + 1) * n], order[start:end]))",
+           "self._rows[s] = (values, sigma[b * n:(b + 1) * n], order[start:end])",
            (GRAPH + "TestPathCacheMiss::test_first_row_wins",
             CENTRALITY + "TestBatchedBetweenness::test_matches_per_source_pass")),
     Mutant("a miss runs the block that starts at its source", "graph.py",
-           "start = source - source % _BATCH", "start = source",
+           "start = self._valid(source) - source % _BATCH", "start = self._valid(source)",
            (GRAPH + "TestPathCacheMiss::test_fills_the_aligned_block",
-            SIMULATOR + "TestPathCacheReuse::test_bfs_once_per_routed_consumer_and_server")),
+            CENTRALITY + "TestLazyRows::test_sigma_and_order_rows_stay_lazy")),
     # next-hop trees
     Mutant("int8 next-hop trees", "graph.py",
            "dtype=np.min_scalar_type(-dist.size))", "dtype=np.int8)",
@@ -55,19 +55,33 @@ MUTANTS = (
            "np.diff(self._tails.take(closer), append=dist.size)",
            (GRAPH + "TestNextHops::test_smallest_predecessor",
             SIMULATOR + "TestRouteInterest::test_next_hop_tie_smallest_id")),
-    # farness as a packed-bitset BFS over CSR arrays
+    # the packed-bitset all-sources BFS over CSR arrays that farness and the
+    # distance pass share
     Mutant("farness slot 0 dropped", "graph.py",
            "for j in range(cut)]", "for j in range(1, cut)]",
            (GRAPH + "TestFarness::test_star_with_more_than_64_leaves",
-            GRAPH + "TestFarness::test_hubs_joined_to_every_leaf")),
+            GRAPH + "TestFarness::test_hubs_joined_to_every_leaf",
+            GRAPH + "TestDistances::test_memory_stays_under_four_bytes_per_pair")),
     Mutant("farness rows one word short", "graph.py",
            "reach = np.zeros((n, (n + 63) // 64)", "reach = np.zeros((n, n // 64)",
            (GRAPH + "TestFarness::test_matches_plain_bfs",
-            GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-65]")),
+            GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-65]",
+            GRAPH + "TestDistances::test_rows_match_plain_bfs")),
     Mutant("farness run offsets not rebased", "graph.py",
            "seg[a:b] - seg[a])", "seg[a:b])",
            (GRAPH + "TestFarness::test_hubs_joined_to_every_leaf",
             GRAPH + "TestFarness::test_sparse_rows_of_several_words[1-64]")),
+    # the distance pass: bit-sliced round stamps unpacked in chunks of rows
+    Mutant("a plane that starts one round late", "graph.py",
+           "if k == 1 << len(planes):", "if k > 1 << len(planes):",
+           (GRAPH + "TestDistances::test_rows_match_plain_bfs",
+            GRAPH + "TestNarrowViews::test_reads_match_oracle[path300]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
+    Mutant("a chunk's last row skipped", "graph.py",
+           "rank[lo:lo + step], stamps[lo:lo + step]",
+           "rank[lo:lo + step - 1], stamps[lo:lo + step - 1]",
+           (GRAPH + "TestDistances::test_rows_match_plain_bfs",
+            GRAPH + "TestDistances::test_memory_stays_under_four_bytes_per_pair")),
     # the generator's array passes: the cell list, and the giant component
     # and origin read off the farness pass
     Mutant("giant tie to the larger id", "synthetic.py",
@@ -93,8 +107,8 @@ MUTANTS = (
             SIMULATOR + "TestCbcAgreement::test_forward_total_is_cbc_total",
             SIMULATOR + "TestCbcAgreement::test_tie_free_trees_agree_per_node")),
     Mutant("the LRU walk one step short", "simulator.py",
-           "for _ in range(hops_away - 1):\n                if v in provider_set",
-           "for _ in range(hops_away - 2):\n                if v in provider_set",
+           "for _ in range(best - 1):\n                if v in provider_set",
+           "for _ in range(best - 2):\n                if v in provider_set",
            (SIMULATOR + "TestRunSimulation::test_lru_insertion_serves_repeat",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
     Mutant("the walk's raise dropped", "simulator.py",
@@ -119,11 +133,22 @@ MUTANTS = (
             SIMULATOR + "TestCbcAgreement::test_forward_total_is_cbc_total")),
     # one nearest-holder rule and one draw check for both branches
     Mutant("an LRU consumer never serves itself", "simulator.py",
-           '"self" if best == 0', '"self" if best < 0',
+           "if best == 0:", "if best < 0:",
            (SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-True]",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[self_served-True]")),
     Mutant("ranks past int64 accepted", "simulator.py",
            "if not 0 <= item < 2 ** 63:", "if not 0 <= item:",
            (SIMULATOR + "TestRunSimulation::test_rank_outside_int64_rejected[9223372036854775808-False]",
             SIMULATOR + "TestRunSimulation::test_rank_outside_int64_rejected[9223372036854775808-True]")),
+    # the LRU loop reads unsigned rows and counts its routes once
+    Mutant("the LRU loop reads signed rows", "simulator.py",
+           'row = rows[c] = row.cast("B").cast(row.format.upper())', "row = rows[c] = row",
+           (SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_with_unreachable_holders[int8-True]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_with_unreachable_holders[int16-True]",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]")),
+    Mutant("a route key without its server", "simulator.py",
+           "key = c * n + server", "key = c * n",
+           (SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]",
+            SIMULATOR + "TestRunSimulation::test_lru_insertion_serves_repeat",
+            SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_with_unreachable_holders[int8-True]")),
 )

@@ -103,13 +103,16 @@ print(hashlib.sha256(repr(raw).encode()).hexdigest())
 
 def assert_batched_betweenness(topo, precached=()):
     """Betweenness equals the per-source pass bit for bit, leaves every
-    source's BFS in the cache as rows from which ``paths_from`` builds the
-    oracle's ``python_bfs`` (exact Python ints), and keeps the rows stored
-    before it."""
+    source's σ and order in the cache as rows from which, with its distance
+    row, ``paths_from`` builds the oracle's ``python_bfs`` (exact Python
+    ints), and keeps the rows stored before it."""
     cache = PathCache(topo)
-    before = {s: cache.dist_from(s) for s in precached}
+    dists = [cache.dist_from(s) for s in range(topo.node_count)]
+    for s in precached:
+        cache.paths_from(s)
+    before = dict(cache._rows)
     assert betweenness_centrality(topo, cache).raw == per_source_betweenness(topo)
-    for _, values, sigma, order in cache._rows.values():
+    for values, sigma, order in cache._rows.values():
         assert sigma.dtype.kind == "u"
         # counts are boxed only in a batch where one of them passes int64
         assert values.dtype == np.int64 or max(values) > _INT64_MAX
@@ -117,10 +120,13 @@ def assert_batched_betweenness(topo, precached=()):
     # every source is cached now: a lookup that ran a BFS would raise
     with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
         cached = [cache.paths_from(s) for s in range(topo.node_count)]
-        dists = [cache.dist_from(s) for s in range(topo.node_count)]
-    # a row stored earlier is kept: its distance view is the same object
-    assert all(dists[s] is dist for s, dist in before.items())
-    assert {dist.itemsize for dist in dists} <= {1, 2}
+    # rows stored earlier are kept, and the distance views are the same objects
+    assert all(cache._rows[s] is row for s, row in before.items())
+    assert all(cache.dist_from(s) is dist for s, dist in enumerate(dists))
+    # one dtype for every distance row: the narrowest for the graph's largest
+    # distance
+    assert {dist.format for dist in dists} == {
+        "b" if max(max(sp.dist) for sp in cached) < 128 else "h"}
     for s, sp in enumerate(cached):
         assert sp == python_bfs(topo, s)
         assert all(type(x) is int for x in (*sp.dist, *sp.sigma, *sp.order))
@@ -199,7 +205,7 @@ class TestBatchedBetweenness:
         deepest = PathCache(topo).bfs_levels(range(32))[-1]
         assert deepest.sigma.dtype == object and deepest.sigma.tolist() == [2 ** 62]
         cache = assert_batched_betweenness(topo)
-        assert cache._rows[0][1].dtype == np.int64
+        assert cache._rows[0][0].dtype == np.int64
         assert cache.paths_from(0).sigma[186] == 2 ** 62
 
     @pytest.mark.parametrize("seed", range(6))
@@ -271,12 +277,30 @@ class TestLazyRows:
         cache = PathCache(topo)
         betweenness_centrality(topo, cache)
         dist = cache.dist_from(0)
-        _, values, sigma, order = cache._rows[0]
+        values, sigma, order = cache._rows[0]
         assert dist.itemsize == 1 and sigma.dtype == order.dtype == np.uint8
         assert dist.tolist() == [0, 1, 2] + [UNREACHABLE] * 3
         assert values.take(sigma).tolist() == [1, 1, 1, 0, 0, 0]
         assert order.tolist() == [0, 1, 2]
         assert_batched_betweenness(topo)
+
+    def test_sigma_and_order_rows_stay_lazy(self):
+        # distances and next hops build no row; a paths_from miss builds its
+        # block's σ and order rows, and no row holds a distance
+        _, topo = default_topologies()[0]
+        n = topo.node_count
+        cache = PathCache(topo)
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            dists = [cache.dist_from(s) for s in range(n)]
+            for t in range(0, n, 5):
+                cache.next_hops(t)
+        assert cache._rows == {}
+        assert cache.paths_from(40) == python_bfs(topo, 40)
+        assert sorted(cache._rows) == list(range(32, 64))
+        for values, sigma, order in cache._rows.values():
+            assert sigma.size == n and order.size <= n
+            assert values.dtype == np.int64 and values[0] == 0
+        assert all(cache.dist_from(s) is dist for s, dist in enumerate(dists))
 
     def test_lookup_builds_only_its_source(self):
         _, topo = default_topologies()[0]
@@ -299,8 +323,8 @@ class TestLazyRows:
         # hubs h and h + 3 share a batch and reach hubs h + 3i and h + 3i + 3
         # over 2^i paths; the first batch's counts pass int64 and stay boxed,
         # the fourth's do not and stay int64
-        assert cache._rows[0][1].dtype == object
-        assert cache._rows[96][1].dtype == np.int64
+        assert cache._rows[0][0].dtype == object
+        assert cache._rows[96][0].dtype == np.int64
         for h, i in ((0, 10), (0, 64), (96, 10)):
             a, b = cache.paths_from(h), cache.paths_from(h + 3)
             assert a.sigma[h + 3 * i] == b.sigma[h + 3 * i + 3] == 2 ** i
@@ -314,7 +338,7 @@ class TestLazyRows:
             cache = PathCache(topo)
             betweenness_centrality(topo, cache)
             assert all(array.dtype != object
-                       for row in cache._rows.values() for array in row[1:])
+                       for row in cache._rows.values() for array in row)
 
     def test_reads_keep_only_distance_views(self):
         _, topo = default_topologies()[0]

@@ -1,6 +1,9 @@
+import gc
+import json
 import random
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,12 +14,13 @@ from fogcache.catalog import InterestWorkload
 from fogcache.centrality import (ReplicationPolicy, betweenness_centrality,
                                  cbc_exact, cbc_replication)
 from fogcache.experiment import default_topologies
-from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, Topology,
-                            bfs_shortest_paths, connected_components,
-                            farness, from_edges, load_topology,
-                            serialize_topology)
+from fogcache.graph import (_BATCH, UNREACHABLE, PathCache, Topology, _arcs,
+                            _csr, _distances, bfs_shortest_paths,
+                            connected_components, farness, from_edges,
+                            load_topology, serialize_topology)
 from fogcache.placement import place_noncollaborative
 from fogcache.simulator import RoleAssignment, run_simulation
+from fogcache.synthetic import generate_synthetic_topology
 from oracles import (adjacency_sets, naive_sigma, plain_bfs_dist, python_bfs,
                      random_edge_set)
 
@@ -76,6 +80,22 @@ class TestLoadTopology:
         assert topo.adjacency == tuple((ids.index(2),) if v == 1 else
                                        (ids.index(1),) if v == 2 else ()
                                        for v in ids)
+
+    def test_numpy_ids_become_python_ints(self):
+        edges = np.array([[1, 2], [2, 5]], dtype=np.int32)
+        topo = from_edges(edges, nodes=np.array([0, 7]), origin_spec=np.int64(5))
+        assert topo.original_ids == (0, 1, 2, 5, 7)
+        assert {type(v) for v in topo.original_ids} == {int}
+        assert topo.origin == 3
+        assert json.loads(json.dumps(topo.original_ids)) == [0, 1, 2, 5, 7]
+
+    @pytest.mark.parametrize("edges, nodes", [
+        ([(1.0, 2)], None), ([(1, 2.5)], None), ([(1, 2)], [0.0]),
+        ([(1, 2)], np.array([0.0])), (np.array([[1.0, 2.0]]), None)],
+        ids=["tail", "head", "node", "node_array", "edge_array"])
+    def test_float_ids_rejected(self, edges, nodes):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            from_edges(edges, nodes=nodes)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
@@ -261,15 +281,17 @@ class TestNextHops:
         assert cache.next_hops(0) is hops
 
     def test_reads_waiting_row_without_building(self):
+        # every distance row waits from the cache's build: a tree reads its
+        # target's row and runs no BFS, and betweenness replaces no row
         _, topo = default_topologies()[0]
         cache = PathCache(topo)
-        betweenness_centrality(topo, cache)
         targets = range(0, topo.node_count, 9)
         with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
             dists = {t: cache.dist_from(t) for t in targets}
             hops = {t: cache.next_hops(t) for t in targets}
-        # the rows are kept: their distance views are the same objects
+        betweenness_centrality(topo, cache)
         assert all(cache.dist_from(t) is dists[t] for t in targets)
+        assert all(cache.next_hops(t) is hops[t] for t in targets)
         for t in targets:
             assert list(hops[t]) == [min(p) if p else UNREACHABLE
                                      for p in oracle_preds(topo, t)]
@@ -287,25 +309,29 @@ class TestPathCacheMiss:
                 expected = python_bfs(topo, s)
                 assert cache.paths_from(s) == expected
                 assert list(cache.dist_from(s)) == list(expected.dist)
-            # every other source of those blocks is a hit now
+            # every other source of those blocks is a hit now, and distances
+            # and next hops run no BFS
             for s in (*range(32, 96), *range(last, n)):
+                cache.paths_from(s)
+            for s in (0, 1, 100, 200):
                 cache.dist_from(s)
+                cache.next_hops(s)
         blocks = [list(call.args[1]) for call in bfs.call_args_list]
         assert blocks == [list(range(32, 64)), list(range(last, n)),
                           list(range(64, 96))]
 
     def test_first_row_wins(self):
-        # a miss fills the rows of its block; betweenness, which covers the
-        # block again, keeps them
+        # a miss fills the σ and order rows of its block; betweenness, which
+        # covers the block again, keeps them
         _, topo = default_topologies()[0]
         cache = PathCache(topo)
         with mock.patch.object(PathCache, "bfs_levels", autospec=True,
                                side_effect=PathCache.bfs_levels) as bfs:
-            cache.next_hops(40)
-            dists = {s: cache.dist_from(s) for s in range(32, 64)}
+            cache.paths_from(40)
+            rows = {s: cache._rows[s] for s in range(32, 64)}
         assert [list(call.args[1]) for call in bfs.call_args_list] == [list(range(32, 64))]
         betweenness_centrality(topo, cache)
-        assert all(cache.dist_from(s) is dist for s, dist in dists.items())
+        assert all(cache._rows[s] is row for s, row in rows.items())
 
     @pytest.mark.parametrize("bad", [-1, -40, 7, 100])
     def test_invalid_source(self, bad):
@@ -443,6 +469,69 @@ class TestNarrowViews:
         # dist_from hands out the stored row itself, not a copy
         assert cache.dist_from(0) is dist and cache.next_hops(0) is hops
         assert dist[1] == cache.paths_from(0).dist[1] == 1 and hops[1] == 0
+
+
+@st.composite
+def split_graphs(draw):
+    """Up to 90 nodes: a random part, a path and isolated nodes, in any mix,
+    under a random relabelling."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=100_000)))
+    core = draw(st.integers(min_value=0, max_value=60))
+    path = draw(st.integers(min_value=0, max_value=20))
+    n = core + path + draw(st.integers(min_value=0 if core + path else 1, max_value=10))
+    edges = random_edge_set(rng, core, rng.choice([0.02, 0.06, 0.2]))
+    edges += [(v, v + 1) for v in range(core, core + path - 1)]
+    label = rng.sample(range(n), n)
+    return from_edges([(label[a], label[b]) for a, b in edges], nodes=range(n))
+
+
+class TestDistances:
+    """Every distance comes from one bit-parallel pass when the cache is
+    built; each row must equal a plain BFS from its source."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_graphs())
+    @example(from_edges([], nodes=[0]))
+    @example(from_edges([(0, 1), (1, 2), (3, 4)], nodes=range(6)))
+    # rows of one word, a full word, and one bit into a second word
+    @example(from_edges(random_edge_set(random.Random(1), 63, 0.05), nodes=range(63)))
+    @example(from_edges(random_edge_set(random.Random(2), 64, 0.05), nodes=range(64)))
+    @example(from_edges(random_edge_set(random.Random(3), 65, 0.05), nodes=range(65)))
+    # 299 rounds: int16 rows, and more than one chunk of rows to unpack
+    @example(from_edges([(v, v + 1) for v in range(299)]))
+    def test_rows_match_plain_bfs(self, topo):
+        n = topo.node_count
+        adj = adjacency_sets(topo)
+        cache = PathCache(topo)
+        longest = 0
+        for s in range(n):
+            dist = plain_bfs_dist(adj, s)
+            longest = max(longest, *dist.values())
+            assert cache.dist_from(s).tolist() == [dist.get(v, UNREACHABLE)
+                                                   for v in range(n)]
+        # one dtype per cache: the narrowest for its largest distance
+        assert {cache.dist_from(s).format for s in range(n)} == {
+            "b" if longest < 128 else "h"}
+
+    def test_memory_stays_under_four_bytes_per_pair(self):
+        # the bit planes and reach rows take n²/8 bytes each and the int8
+        # matrix n², and the rows are unpacked a chunk at a time: an
+        # unchunked unpack held 5.7 n² bytes at once
+        topo = generate_synthetic_topology("geometric", 1000, 0.078 * (0.33 ** 0.5), 6)
+        n = topo.node_count
+        arrays = _csr(n, *_arcs(topo.adjacency))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dist = _distances(*arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n > 900 and peak < 4 * n * n
+        adj = adjacency_sets(topo)
+        for s in (*range(0, n, 97), *range(n - 70, n)):
+            expected = plain_bfs_dist(adj, s)
+            assert dist[s].tolist() == [expected.get(v, UNREACHABLE) for v in range(n)]
 
 
 class TestConnectedComponents:

@@ -3,6 +3,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fogcache.catalog import InterestWorkload, generate_interests, zipf_catalog
 from fogcache.centrality import CentralityScores, ReplicationPolicy, cbc_exact
-from fogcache.graph import _BATCH, UNREACHABLE, PathCache, from_edges
+from fogcache.graph import UNREACHABLE, PathCache, from_edges
 from fogcache.placement import (CacheAssignment, place_fog, place_greedy_popular,
                                 place_noncollaborative)
 from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
@@ -326,6 +327,33 @@ class TestRunSimulation:
         assert {cache.next_hops(t).itemsize for t in servers} == {2}
 
     @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("tail, fmt", [(0, "b"), (140, "h")], ids=["int8", "int16"])
+    def test_matches_naive_oracle_with_unreachable_holders(self, lru, tail, fmt):
+        # the origin's part (a 40-node core with a path tail), a second part
+        # of 40 nodes and ten isolated nodes, with consumers and caches in
+        # each: holders in another part are unreachable, and so is the
+        # origin from the second part and the isolated nodes; rows read
+        # UNREACHABLE as the largest unsigned value in either dtype
+        rng = random.Random(31)
+        edges = random_edge_set(rng, 40, 0.1) + [(v, v + 1) for v in range(39, 39 + tail)]
+        second = 40 + tail
+        edges += [(second + a, second + b) for a, b in random_edge_set(rng, 40, 0.1)]
+        n = second + 50
+        topology = from_edges(edges, nodes=range(n), origin_spec=0)
+        others = list(range(1, n))
+        rng.shuffle(others)
+        consumers, providers = sorted(others[:30]), sorted(others[30:90])
+        caches = {v: tuple(rng.sample(range(5), rng.randint(0, 2))) for v in providers}
+        draws = [(rng.choice(consumers), rng.randrange(5)) for _ in range(600)]
+        cache = PathCache(topology)
+        self.check_against_oracle(lru, (topology, caches, consumers, providers, 2,
+                                         draws), cache)
+        assert {cache.dist_from(c).format for c in consumers} == {fmt}
+        dists = [cache.dist_from(c) for c in consumers]
+        assert any(d[0] == UNREACHABLE for d in dists)
+        assert any(d[0] != UNREACHABLE and UNREACHABLE in d.tolist() for d in dists)
+
+    @pytest.mark.parametrize("lru", [False, True])
     @pytest.mark.parametrize("case", ["empty", "rank_past_catalog",
                                       "origin_in_assignment", "origin_consumer",
                                       "self_served"])
@@ -449,10 +477,11 @@ class TestPathCacheReuse:
         monkeypatch.setattr(PathCache, name, recorded)
         return args
 
-    def test_bfs_once_per_routed_consumer_and_server(self, monkeypatch):
-        # the same sources as hop-by-hop routing: each consumer that looks
-        # for a holder reads its BFS, and each server it routes to its
-        # next-hop tree
+    @pytest.mark.parametrize("lru", [False, True])
+    def test_reads_once_per_routed_consumer_and_server(self, monkeypatch, lru):
+        # routing runs no BFS: each consumer that looks for a holder reads
+        # its distance row once, and each server it routes to its next-hop
+        # tree (the servers of a static run; an LRU run's caches change)
         topo, assignment, roles, workload = self.cell()
         holders = assignment.holders_by_item()
         served, consumers, servers = set(), set(), set()
@@ -472,19 +501,19 @@ class TestPathCacheReuse:
             servers.add(server)
         assert served == {"cache", "origin", "none"}
         assert servers - consumers
-        # one batched BFS per aligned block of those sources; one block has
-        # none of them
-        n = topo.node_count
-        starts = {v - v % _BATCH for v in consumers | servers}
-        assert len(starts) < -(-n // _BATCH)
         blocks = self.record(monkeypatch, "bfs_levels")
         sources = self.record(monkeypatch, "dist_from")
         targets = self.record(monkeypatch, "next_hops")
-        run_simulation(topo, assignment, roles, workload, path_cache=PathCache(topo))
-        assert sorted(map(list, blocks)) == [list(range(s, min(s + _BATCH, n)))
-                                             for s in sorted(starts)]
-        assert set(sources) == consumers
-        assert set(targets) == servers
+        run_simulation(topo, assignment, roles, workload, lru, PathCache(topo))
+        assert blocks == []
+        assert sorted(sources) == sorted(consumers)
+        if lru:
+            # the origin's tree is read by the insertion walk and by the
+            # forward walk, every other server's by the forward walk
+            reads = Counter(targets)
+            assert reads.pop(topo.origin) == 2 and set(reads.values()) == {1}
+        else:
+            assert sorted(targets) == sorted(servers)
 
     def test_second_run_builds_nothing(self, monkeypatch):
         topo, assignment, roles, workload = self.cell()
@@ -502,6 +531,7 @@ class TestPathCacheReuse:
                  for lru in (False, True)]
         assert again == first
         assert blocks == []
+        assert not cache._rows  # no σ or order row either
         # the second run reads the same sources and targets and gets the same
         # views back
         assert set(sources) == dists.keys() and set(targets) == hops.keys()
