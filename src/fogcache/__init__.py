@@ -23,7 +23,7 @@ from .graph import (PathCache, ShortestPathData, Topology, UNREACHABLE,
 from .placement import (CacheAssignment, export_assignment_csv,
                         fog_distinct_items, place_fog, place_greedy_popular,
                         place_noncollaborative)
-from .simulator import (RoleAssignment, SimMetrics, assign_roles,
+from .simulator import (Demand, RoleAssignment, SimMetrics, assign_roles,
                         cache_hit_rate, pooled_hit_rate, run_simulation,
                         success_rate)
 from .synthetic import generate_synthetic_topology

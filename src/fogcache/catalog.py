@@ -55,7 +55,10 @@ class InterestWorkload:
 def generate_interests(catalog: ContentCatalog, consumers, count: int,
                        seed: int) -> InterestWorkload:
     """Draw ``count`` interests: consumer uniform, item rank by inverse-CDF
-    over the catalog popularity.  Pure function of its arguments."""
+    over the catalog popularity.  Pure function of its arguments.  Each
+    consumer index runs ``randrange``'s own rejection loop over
+    ``getrandbits``, so the draws are those of ``rng.randrange(n_cons)`` on
+    the same stream, without its per-call checks."""
     consumers = sorted(set(consumers))
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -64,9 +67,13 @@ def generate_interests(catalog: ContentCatalog, consumers, count: int,
     cumulative = list(accumulate(catalog.popularity))
     cumulative[-1] = 1.0  # no float undershoot: each random() < 1.0 has a rank
     rng = random.Random(seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
     n_cons = len(consumers)
+    k = n_cons.bit_length()
     draws = []
     for _ in range(count):
-        c = consumers[rng.randrange(n_cons)]
-        draws.append((c, bisect_right(cumulative, rng.random())))
+        r = getrandbits(k)
+        while r >= n_cons:
+            r = getrandbits(k)
+        draws.append((consumers[r], bisect_right(cumulative, uniform())))
     return InterestWorkload(draws=tuple(draws), seed=seed)

@@ -19,7 +19,7 @@ from .centrality import (CentralityScores, ReplicationPolicy,
                          eigenvector_centrality)
 from .graph import PathCache, Topology, load_topology
 from .placement import CacheAssignment, place_fog, place_noncollaborative
-from .simulator import (RoleAssignment, assign_roles, cache_hit_rate,
+from .simulator import (Demand, RoleAssignment, assign_roles, cache_hit_rate,
                         check_role_fractions, pooled_hit_rate, run_simulation,
                         success_rate)
 from .synthetic import generate_synthetic_topology
@@ -187,12 +187,13 @@ def assignment_for(scheme: str, scores: CentralityScores | None, providers,
 
 def simulate(topology: Topology, assignment: CacheAssignment,
              roles: RoleAssignment, workload: InterestWorkload,
-             cache: PathCache) -> dict:
-    """The result columns of ``assignment`` on ``workload``.  Only the LRU
-    scheme's caches change at runtime."""
+             cache: PathCache, demand: Demand | None = None) -> dict:
+    """The result columns of ``assignment`` on ``workload``, whose static
+    runs read ``demand`` when given.  Only the LRU scheme's caches change at
+    runtime."""
     lru = assignment.scheme == "lru_social_unaware"
     metrics = run_simulation(topology, assignment, roles, workload,
-                             lru_enabled=lru, path_cache=cache)
+                             lru_enabled=lru, path_cache=cache, demand=demand)
     return {"hit_rate": cache_hit_rate(metrics),
             "success_rate": success_rate(metrics),
             "generated": metrics.interests_generated,
@@ -212,6 +213,7 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     rows = []
     for rep in range(plan.repetitions):
         roles, workload = cell_inputs(plan, topology_index, rep)
+        demand = None  # the static cells' one demand, built at the first of them
         # a cell reads alpha only through the replica-class sizes, and the
         # schemes outside RANKED not at all: measure each distinct cell once
         cells: dict[tuple, dict] = {}
@@ -226,8 +228,10 @@ def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
                               if scheme == "cbc" else classic.get(scheme))
                     assignment = assignment_for(scheme, scores, roles.providers,
                                                 policy)
+                    if demand is None and scheme != "lru_social_unaware":
+                        demand = Demand(cache, roles.consumers, workload)
                     measured = cells[key] = simulate(topology, assignment, roles,
-                                                     workload, cache)
+                                                     workload, cache, demand)
                 rows.append({"topology": label, "scheme": scheme,
                              "alpha": alpha, "repetition": rep,
                              "seed": workload.seed, **measured})

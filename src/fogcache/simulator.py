@@ -76,38 +76,49 @@ def _check_draws(pairs, consumers) -> None:
             raise ValueError(f"invalid item rank {item}")
 
 
-def _route_static(cache: PathCache, assignment: CacheAssignment,
-                  roles: RoleAssignment, draws):
-    """Every distinct (consumer, item) pair of a static run routed at once and
+class Demand:
+    """The workload side of a static run, built once and read by every static
+    run over the same cache, consumer set and workload: a repetition's static
+    cells differ only in their holders.  It holds the distinct (consumer,
+    item) draws, validated and in first-seen order, with their counts; the
+    distinct items and consumers and each pair's index into them; and the
+    consumers' stored distance rows, stacked in their stored dtype and read
+    unsigned, so UNREACHABLE is the largest."""
+
+    def __init__(self, cache: PathCache, consumers, workload: InterestWorkload):
+        tally = Counter(workload.draws)  # keys in first-seen order
+        _check_draws(tally, consumers)
+        self.cache, self.consumers, self.workload = cache, tuple(consumers), workload
+        pairs = np.fromiter(chain.from_iterable(tally), np.int64,
+                            count=2 * len(tally)).reshape(-1, 2)
+        self.counts = np.fromiter(tally.values(), np.int64, count=len(tally))
+        self.consumer, item = pairs.T
+        self.items, self.at = np.unique(item, return_inverse=True)
+        sources, self.row = np.unique(self.consumer, return_inverse=True)
+        dist = np.array([cache.dist_from(u) for u in sources.tolist()])
+        self.dist = dist.view(f"u{dist.itemsize}")
+
+
+def _route_static(demand: Demand, assignment: CacheAssignment):
+    """Every distinct (consumer, item) pair of ``demand`` routed at once and
     weighted by its count, by the nearest-holder rule: the least distance,
     ties to the smaller id, where the origin always holds the item and a
     consumer at distance 0 serves itself.  Pairs are grouped by the size of
     their item's holder list (the holders plus the origin, ascending), so
-    each group picks its servers with one (pairs × holders) gather of stored
-    distance rows and one ``argmin``: the first least distance is the least
-    (distance, id).  Returns the interests per outcome, the cache
+    each group picks its servers with one (pairs × holders) gather of the
+    demand's distance rows and one ``argmin``: the first least distance is
+    the least (distance, id).  Returns the interests per outcome, the cache
     responses per node, and the (consumer, server, hops) route of each pair
     served from a cache or the origin with its count."""
-    topology = cache.topology
+    topology = demand.cache.topology
     n, origin = topology.node_count, topology.origin
-    tally = Counter(draws)  # keys in first-seen order
-    _check_draws(tally, roles.consumers)
-    pairs = np.fromiter(chain.from_iterable(tally), np.int64,
-                        count=2 * len(tally)).reshape(-1, 2)
-    counts = np.fromiter(tally.values(), np.int64, count=len(tally))
-    consumer, item = pairs.T
-    items, at = np.unique(item, return_inverse=True)
+    dist, counts = demand.dist, demand.counts
     holders = assignment.holders_by_item()
-    lists = [sorted(holders.get(i, set()) | {origin}) for i in items.tolist()]
+    lists = [sorted(holders.get(i, set()) | {origin}) for i in demand.items.tolist()]
     size = np.fromiter(map(len, lists), np.int64, count=len(lists))
-    # the stored distance row of every consumer, stacked in its stored dtype
-    # and read unsigned: UNREACHABLE is the largest
-    sources, row = np.unique(consumer, return_inverse=True)
-    dist = np.array([cache.dist_from(u) for u in sources.tolist()])
-    dist = dist.view(f"u{dist.itemsize}")
-    server = np.zeros(len(tally), dtype=np.int64)
-    hops = np.zeros(len(tally), dtype=np.int64)
-    pair_size = size.take(at)
+    server = np.zeros(counts.size, dtype=np.int64)
+    hops = np.zeros(counts.size, dtype=np.int64)
+    pair_size = size.take(demand.at)
     for s in np.flatnonzero(np.bincount(pair_size)).tolist():  # sizes that occur
         sel = np.flatnonzero(pair_size == s)
         group_items = np.flatnonzero(size == s)
@@ -115,8 +126,8 @@ def _route_static(cache: PathCache, assignment: CacheAssignment,
         # is wider than they are
         group = np.array([lists[j] for j in group_items.tolist()],
                          dtype=np.min_scalar_type(n))
-        group = group.take(np.searchsorted(group_items, at.take(sel)), axis=0)
-        d = dist[row.take(sel)[:, None], group]
+        group = group.take(np.searchsorted(group_items, demand.at.take(sel)), axis=0)
+        d = dist[demand.row.take(sel)[:, None], group]
         best = d.argmin(axis=1)
         pick = np.arange(sel.size)
         hops[sel] = d[pick, best]
@@ -130,7 +141,7 @@ def _route_static(cache: PathCache, assignment: CacheAssignment,
               "cache": int(counts[at_cache].sum()),
               "origin": int(counts[reached & ~at_cache].sum()),
               "none": int(counts[~own & ~reached].sum())}
-    routes = np.column_stack([consumer, server, hops])[reached]
+    routes = np.column_stack([demand.consumer, server, hops])[reached]
     return served, responses, routes, counts[reached]
 
 
@@ -252,23 +263,38 @@ def _forward_counts(cache: PathCache, routes: np.ndarray,
 def run_simulation(topology: Topology, assignment: CacheAssignment,
                    roles: RoleAssignment, workload: InterestWorkload,
                    lru_enabled: bool = False,
-                   path_cache: PathCache | None = None) -> SimMetrics:
+                   path_cache: PathCache | None = None,
+                   demand: Demand | None = None) -> SimMetrics:
     """Route the workload and accumulate counters.
 
     Static caches make an interest's outcome depend only on its (consumer,
     item) pair, so :func:`_route_static` routes each distinct pair once, as
-    array passes, weighted by its count.  With ``lru_enabled``
-    (social-unaware baseline) :func:`_route_lru` takes the interests in
-    order, since each origin-served one changes the caches on its return
-    path.  Either way forward counts are added after routing, by one stacked
-    walk over every route (:func:`_forward_counts`)."""
+    array passes, weighted by its count.  The pairs and their distance rows
+    come from ``demand``, or from a new :class:`Demand` without one; pass
+    one to share it between the static runs of one workload.  A demand
+    built for another cache (pass its ``cache`` as ``path_cache``), consumer
+    set or workload is refused.  With ``lru_enabled`` (social-unaware
+    baseline) :func:`_route_lru` takes the interests in order, since each
+    origin-served one changes the caches on its return path.  Either way
+    forward counts are added after routing, by one stacked walk over every
+    route (:func:`_forward_counts`)."""
     n = topology.node_count
     for v in assignment.nodes():
         if not 0 <= v < n:
             raise ValueError(f"assignment references unknown node {v}")
     cache = cache_for(topology, path_cache)
-    route = _route_lru if lru_enabled else _route_static
-    served, responses, routes, counts = route(cache, assignment, roles, workload.draws)
+    if demand is not None and (demand.cache is not cache
+                               or demand.consumers != tuple(roles.consumers)
+                               or demand.workload != workload):
+        raise ValueError("demand was built for another cache, consumer set "
+                         "or workload")
+    if lru_enabled:
+        served, responses, routes, counts = _route_lru(cache, assignment, roles,
+                                                       workload.draws)
+    else:
+        if demand is None:
+            demand = Demand(cache, roles.consumers, workload)
+        served, responses, routes, counts = _route_static(demand, assignment)
     forwards = _forward_counts(cache, routes, counts)
     # a node receives every interest it forwards or serves
     received = forwards + responses

@@ -22,6 +22,8 @@ GRAPH = "tests/test_graph.py::"
 CENTRALITY = "tests/test_centrality.py::"
 SIMULATOR = "tests/test_simulator.py::"
 SYNTHETIC = "tests/test_experiment.py::"
+EXPERIMENT = "tests/test_experiment.py::TestRunExperiment::"
+CATALOG = "tests/test_catalog.py::TestGenerateInterests::"
 
 MUTANTS = (
     # PathCache hands out its stored rows
@@ -121,7 +123,7 @@ MUTANTS = (
            (SIMULATOR + "TestRouteInterest::test_nearest_holder_tie_smaller_id",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[False]")),
     Mutant("the self-served mark dropped", "simulator.py",
-           "own = hops == 0", "own = np.zeros(len(tally), dtype=bool)",
+           "own = hops == 0", "own = np.zeros(hops.size, dtype=bool)",
            (SIMULATOR + "TestRouteInterest::test_self_served",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[origin_consumer-False]",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_edge_cases[self_served-False]",
@@ -151,4 +153,24 @@ MUTANTS = (
            (SIMULATOR + "TestRunSimulation::test_matches_naive_oracle[True]",
             SIMULATOR + "TestRunSimulation::test_lru_insertion_serves_repeat",
             SIMULATOR + "TestRunSimulation::test_matches_naive_oracle_with_unreachable_holders[int8-True]")),
+    # one demand per repetition, shared by its static cells
+    Mutant("the demand built once per topology", "experiment.py",
+           "demand = None  # the static cells' one demand",
+           "demand = locals().get('demand')  # the static cells' one demand",
+           (EXPERIMENT + "test_one_demand_per_repetition[schemes0]",
+            EXPERIMENT + "test_rerun_byte_identical")),
+    Mutant("the demand refusal check dropped", "simulator.py",
+           "if demand is not None and (demand.cache is not cache",
+           "if False and (demand.cache is not cache",
+           (SIMULATOR + "TestDemand::test_demand_of_another_input_refused[cache-False]",
+            SIMULATOR + "TestDemand::test_demand_of_another_input_refused[consumers-True]",
+            SIMULATOR + "TestDemand::test_demand_of_another_input_refused[workload-False]")),
+    # interest draws: randrange's rejection loop on the same stream
+    Mutant("r > n_cons in the draw loop", "catalog.py",
+           "while r >= n_cons:", "while r > n_cons:",
+           (CATALOG + "test_matches_randrange_oracle",)),
+    Mutant("getrandbits(k - 1)", "catalog.py",
+           "k = n_cons.bit_length()", "k = n_cons.bit_length() - 1",
+           (CATALOG + "test_matches_randrange_oracle",
+            CATALOG + "test_consumers_drawn_uniformly")),
 )

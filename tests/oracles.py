@@ -2,17 +2,20 @@
 
 Everything here recomputes from first principles (plain-dict BFS, a
 per-source Python BFS, explicit path enumeration, hop-by-hop routing) and
-deliberately shares no code with the package, except two references for
+deliberately shares no code with the package, except three references for
 passes the package no longer runs.  ``per_source_betweenness`` is one
 ``python_bfs`` and one ``_accumulate`` pass per source, the bit-exact
 reference for the batched ones; ``naive_synthetic_topology`` builds the
-generator's graphs through ``from_edges`` and ``connected_components``.
+generator's graphs through ``from_edges`` and ``connected_components``;
+``naive_interests`` draws each consumer with ``randrange``.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import OrderedDict, deque
+from itertools import accumulate
 
 from fogcache.centrality import _accumulate
 from fogcache.graph import (UNREACHABLE, ShortestPathData, connected_components,
@@ -263,3 +266,18 @@ def naive_synthetic_topology(kind, node_count, density, seed):
     keep = set(giant)
     return from_edges([(a, b) for a, b in edges if a in keep and b in keep],
                       origin_spec=max(giant, key=lambda v: (far[v], -v)))
+
+
+def naive_interests(catalog, consumers, count, seed):
+    """``generate_interests``'s draws, each consumer by ``rng.randrange``: the
+    package's loop before it ran ``randrange``'s rejection loop itself."""
+    consumers = sorted(set(consumers))
+    cumulative = list(accumulate(catalog.popularity))
+    cumulative[-1] = 1.0
+    rng = random.Random(seed)
+    n_cons = len(consumers)
+    draws = []
+    for _ in range(count):
+        c = consumers[rng.randrange(n_cons)]
+        draws.append((c, bisect_right(cumulative, rng.random())))
+    return tuple(draws)

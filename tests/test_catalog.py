@@ -1,10 +1,16 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from fogcache.catalog import (ContentCatalog, generate_interests, zipf_catalog,
                               zipf_popularity)
+from oracles import naive_interests
+
+# consumer counts at and next to each power of two, where the getrandbits
+# width k = n.bit_length() changes and randrange's rejection rate peaks
+NEAR_POWERS = sorted({2 ** j + d for j in range(11) for d in (-1, 0, 1)} - {0})
 
 
 def harmonic(n, exponent=1.0):
@@ -100,3 +106,19 @@ class TestGenerateInterests:
         counts = Counter(c for c, _ in workload.draws)
         for node in (3, 7, 9):
             assert abs(counts[node] / 30_000 - 1 / 3) < 0.02
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+           n_cons=st.sampled_from(NEAR_POWERS),
+           catalog_size=st.integers(min_value=1, max_value=2_000),
+           count=st.integers(min_value=0, max_value=300))
+    @example(seed=0, n_cons=1, catalog_size=1, count=40)
+    @example(seed=7, n_cons=257, catalog_size=100, count=300)
+    @example(seed=2 ** 64 - 1, n_cons=256, catalog_size=2_000, count=300)
+    @example(seed=12345678901234567890, n_cons=297, catalog_size=100, count=0)
+    def test_matches_randrange_oracle(self, seed, n_cons, catalog_size, count):
+        # the getrandbits loop reads the stream exactly as randrange does
+        catalog = zipf_catalog(catalog_size)
+        consumers = [3 * i + 1 for i in reversed(range(n_cons))]
+        workload = generate_interests(catalog, consumers, count, seed)
+        assert workload.draws == naive_interests(catalog, consumers, count, seed)

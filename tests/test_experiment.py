@@ -296,6 +296,25 @@ class TestRunExperiment:
         assert calls == {"cbc_replication": 2, "place_fog": 2 * 5,
                          "static": 2 * (5 + 1), "lru": 2}
 
+    @pytest.mark.parametrize("schemes", [SCHEMES, ("lru_social_unaware", "no_fog"),
+                                         ("lru_social_unaware",)])
+    def test_one_demand_per_repetition(self, monkeypatch, schemes):
+        # a repetition's static cells share one demand, built at the first of
+        # them; an LRU-only plan builds none
+        built = []
+
+        class Counted(experiment.Demand):
+            def __init__(self, cache, consumers, workload):
+                built.append(workload)
+                super().__init__(cache, consumers, workload)
+
+        monkeypatch.setattr(experiment, "Demand", Counted)
+        plan = tiny_plan(schemes=schemes, alphas=(0.25, 0.75), repetitions=3)
+        run_experiment(plan)
+        static = set(schemes) != {"lru_social_unaware"}
+        assert built == [cell_inputs(plan, 0, rep)[1]
+                         for rep in range(3) if static]
+
     def test_each_alpha_matches_a_plan_of_its_own(self):
         # at buffer 2 these give two distinct layouts, (0, 2) and (1, 1)
         alphas = (0.25, 0.5, 0.75)

@@ -243,6 +243,44 @@ def test_no_blas_in_src(path):
     assert blas_uses(path.read_text()) == []
 
 
+def numpy_random_uses(source: str) -> list[int]:
+    """Lines that name ``numpy.random``: an import of it or from it, or a
+    ``np.random`` or ``numpy.random`` attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            names.append(node.module or "")
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and getattr(node.value, "id", None) in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        if any(name == "numpy.random" or name.startswith("numpy.random.")
+               for name in names):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_detects_numpy_random():
+    source = ("import numpy as np\nimport random\n"
+              "g = np.random.default_rng(1)\nimport numpy.random\n"
+              "from numpy import random\nfrom numpy.random import MT19937\n"
+              "u = random.random()\nb = numpy.random.MT19937()\n"
+              "r = rng.random()\n")
+    assert numpy_random_uses(source) == [3, 4, 5, 6, 8]
+
+
+# interests are drawn from Python's random stream: the first numpy bit
+# generator adds about 6 MB to the process's peak RSS, more than the
+# benchmark's peak_rss_mb bound allows on paper_default and lru_churn
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_random_in_src(path):
+    assert numpy_random_uses(path.read_text()) == []
+
+
 def attribute_lines(source: str, names) -> list[int]:
     """Lines that read or bind an attribute named in ``names`` (``x.name``)."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))

@@ -14,9 +14,9 @@ from fogcache.centrality import CentralityScores, ReplicationPolicy, cbc_exact
 from fogcache.graph import UNREACHABLE, PathCache, from_edges
 from fogcache.placement import (CacheAssignment, place_fog, place_greedy_popular,
                                 place_noncollaborative)
-from fogcache.simulator import (RoleAssignment, assign_roles, cache_hit_rate,
-                                pooled_hit_rate, run_simulation, success_rate,
-                                SimMetrics)
+from fogcache.simulator import (Demand, RoleAssignment, assign_roles,
+                                cache_hit_rate, pooled_hit_rate, run_simulation,
+                                success_rate, SimMetrics)
 from fogcache.synthetic import generate_synthetic_topology
 from oracles import naive_simulation, plain_bfs_dist, random_edge_set
 
@@ -451,6 +451,57 @@ class TestRunSimulation:
                            lru_enabled=lru)
 
 
+class TestDemand:
+    """A static run reads its pairs and distance rows from a :class:`Demand`,
+    which one workload's static runs can share."""
+
+    @pytest.mark.parametrize("lru", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(case=simulation_cases())
+    def test_shared_demand_matches_own(self, lru, case):
+        topology, caches, consumers, providers, capacity, draws = case
+        roles, workload = roles_of(consumers, providers), workload_of(draws)
+        cache = PathCache(topology)
+        demand = Demand(cache, roles.consumers, workload)
+        # the same demand serves another placement too
+        for assignment in (static_assignment(caches, capacity),
+                           static_assignment({}, capacity)):
+            shared = run_simulation(topology, assignment, roles, workload, lru,
+                                    cache, demand)
+            assert shared == run_simulation(topology, assignment, roles,
+                                            workload, lru, cache)
+
+    @pytest.mark.parametrize("lru", [False, True])
+    @pytest.mark.parametrize("other", ["cache", "consumers", "workload"])
+    def test_demand_of_another_input_refused(self, lru, other):
+        topo = line_topology(4)
+        cache = PathCache(topo)
+        roles, workload = roles_of([0, 1], [2]), workload_of([(0, 0), (1, 1)])
+        inputs = {"cache": cache, "consumers": roles.consumers, "workload": workload}
+        inputs[other] = {"cache": PathCache(topo), "consumers": (0, 1, 2),
+                         "workload": workload_of([(0, 0)])}[other]
+        demand = Demand(inputs["cache"], inputs["consumers"], inputs["workload"])
+        with pytest.raises(ValueError, match="demand was built for another cache, "
+                                             "consumer set or workload"):
+            run_simulation(topo, static_assignment({}), roles, workload, lru,
+                           cache, demand)
+        # a demand over equal inputs serves
+        run_simulation(topo, static_assignment({}), roles, workload, lru, cache,
+                       Demand(cache, [0, 1], workload_of([(0, 0), (1, 1)])))
+
+    @pytest.mark.parametrize("draws", [[(1, 0)], [(0, 0), (0, -1), (1, 0)],
+                                       [(0, 0), (1, 0), (0, 2 ** 63)],
+                                       [(0, 2 ** 64)]])
+    def test_bad_draws_raise_as_without_demand(self, draws):
+        topo = line_topology(3)
+        roles, workload = roles_of([0], [1]), workload_of(draws)
+        with pytest.raises(ValueError) as own:
+            run_simulation(topo, static_assignment({}), roles, workload)
+        with pytest.raises(ValueError) as shared:
+            Demand(PathCache(topo), roles.consumers, workload)
+        assert str(shared.value) == str(own.value)
+
+
 class TestPathCacheReuse:
     def cell(self):
         # 200 nodes in many components: ten consumers, twenty providers
@@ -537,6 +588,23 @@ class TestPathCacheReuse:
         assert set(sources) == dists.keys() and set(targets) == hops.keys()
         assert all(cache.dist_from(s) is dist for s, dist in dists.items())
         assert all(cache.next_hops(t) is tree for t, tree in hops.items())
+
+    def test_shared_demand_reads_no_distance_row(self, monkeypatch):
+        # the demand stacks its consumers' rows once; the static runs that
+        # share it read none, and run no BFS
+        topo, assignment, roles, workload = self.cell()
+        cache = PathCache(topo)
+        expected = run_simulation(topo, assignment, roles, workload,
+                                  path_cache=cache)
+        sources = self.record(monkeypatch, "dist_from")
+        demand = Demand(cache, roles.consumers, workload)
+        assert sorted(sources) == sorted({c for c, _ in workload.draws})
+        sources.clear()
+        blocks = self.record(monkeypatch, "bfs_levels")
+        for _ in range(2):
+            assert run_simulation(topo, assignment, roles, workload,
+                                  path_cache=cache, demand=demand) == expected
+        assert sources == [] and blocks == []
 
     @pytest.mark.parametrize("lru", [False, True])
     def test_routing_never_calls_paths_from(self, monkeypatch, lru):
