@@ -109,7 +109,7 @@ def _run(args) -> int:
         roles, workload = exp.cell_inputs(plan, 0, args.repetition)
         policy = ReplicationPolicy(plan.alphas[0], plan.buffer_items,
                                    plan.catalog_size)
-        cache = PathCache(topology)
+        cache = PathCache(topology, roles.consumers)
         scores = (exp.centrality_for(args.scheme, topology, cache, roles, policy)
                   if args.scheme in exp.RANKED else None)
         buffer = io.StringIO()

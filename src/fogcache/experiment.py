@@ -5,9 +5,7 @@ import csv
 import hashlib
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from statistics import fmean
 
@@ -120,17 +118,25 @@ def derive_seed(master_seed: int, topology_index: int, repetition: int,
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
-def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int
-                ) -> tuple[RoleAssignment, InterestWorkload]:
-    """Roles and interests of one (topology, repetition) cell: the only code
-    that seeds a cell."""
+def cell_roles(plan: ExperimentPlan, topology_index: int, repetition: int
+               ) -> RoleAssignment:
+    """Roles of one (topology, repetition) cell, drawn without its interests."""
     if repetition < 0:
         raise ValueError(f"repetition must be >= 0, got {repetition}")
-    seed = partial(derive_seed, plan.master_seed, topology_index, repetition)
-    roles = assign_roles(plan.topologies[topology_index][1], plan.consumer_frac,
-                         plan.provider_frac, seed("roles"))
-    return roles, generate_interests(plan.catalog(), roles.consumers,
-                                     plan.interests_per_run, seed("workload"))
+    return assign_roles(plan.topologies[topology_index][1], plan.consumer_frac,
+                        plan.provider_frac,
+                        derive_seed(plan.master_seed, topology_index, repetition,
+                                    "roles"))
+
+
+def cell_inputs(plan: ExperimentPlan, topology_index: int, repetition: int
+                ) -> tuple[RoleAssignment, InterestWorkload]:
+    """Roles and interests of one (topology, repetition) cell: with
+    :func:`cell_roles`, the only code that seeds a cell."""
+    roles = cell_roles(plan, topology_index, repetition)
+    return roles, generate_interests(
+        plan.catalog(), roles.consumers, plan.interests_per_run,
+        derive_seed(plan.master_seed, topology_index, repetition, "workload"))
 
 
 @dataclass
@@ -205,7 +211,12 @@ def simulate(topology: Topology, assignment: CacheAssignment,
 
 def _run_topology(plan: ExperimentPlan, topology_index: int) -> list[dict]:
     label, topology = plan.topologies[topology_index]
-    cache = PathCache(topology)
+    # only cbc reads path counts, from its consumers: the cache keeps no
+    # other source's rows
+    readers = (set().union(*(cell_roles(plan, topology_index, rep).consumers
+                             for rep in range(plan.repetitions)))
+               if "cbc" in plan.schemes else ())
+    cache = PathCache(topology, readers)
     # classic scores depend on the topology alone; cbc is computed per cell
     classic = {kind: centrality_for(kind, topology, cache)
                for kind in RANKED if kind != "cbc" and kind in plan.schemes}
@@ -247,6 +258,8 @@ def run_experiment(plan: ExperimentPlan) -> ResultTable:
     """
     indices = range(len(plan.topologies))
     if plan.workers > 1 and len(plan.topologies) > 1:
+        # imported here: a serial run never loads the multiprocessing modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(plan.workers, len(indices))) as pool:
             per_topology = list(pool.map(_run_topology, [plan] * len(plan.topologies),
                                          indices))

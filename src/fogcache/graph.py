@@ -350,16 +350,18 @@ class PathCache:
     (:func:`_distances`) when the cache is built, and :meth:`dist_from` hands
     out a read-only view of a source's row, the same object on every read.
     Path counts and BFS order run through :meth:`bfs_levels` and stay as
-    compact numpy rows for the cache's lifetime: betweenness leaves every
-    source's, batch by batch, and a read of a source without them runs the
-    aligned block of ``_BATCH`` ids that holds it.  :meth:`paths_from` builds
-    a source's tuples from its rows on each call, and :meth:`next_hops` hands
-    out a target's memoized read-only tree, built in numpy.  Rows and trees
-    are never replaced (``dict.setdefault``), so concurrent readers under the
-    GIL are safe: racing readers of one source get the same objects.
+    compact numpy rows for the cache's lifetime, for the ``readers`` only
+    (every source when ``readers`` is None): betweenness leaves theirs,
+    batch by batch, and a read of a source without rows adds it to the
+    readers and runs the aligned block of ``_BATCH`` ids that holds it.
+    :meth:`paths_from` builds a source's tuples from its rows on each call,
+    and :meth:`next_hops` hands out a target's memoized read-only tree, built
+    in numpy.  Rows and trees are never replaced (``dict.setdefault``), so
+    concurrent readers under the GIL are safe: racing readers of one source
+    get the same objects.
     """
 
-    def __init__(self, topology: Topology):
+    def __init__(self, topology: Topology, readers=None):
         self.topology = topology
         # per-source σ and order rows (see _store) and per-target next-hop trees
         self._rows: dict[int, tuple] = {}
@@ -370,6 +372,8 @@ class PathCache:
         self._tails, heads = _arcs(topology.adjacency)
         self._indptr, self._indices = _csr(n, self._tails, heads)
         self._ids = np.arange(n).astype(object)
+        # the sources whose rows a BFS keeps, or None for every source
+        self._readers = None if readers is None else set(map(self._valid, readers))
         # one read-only view per source row of the distance matrix
         dist = memoryview(_distances(self._indptr, self._indices).reshape(-1)).toreadonly()
         self._dist = [dist[v * n:(v + 1) * n] for v in range(n)]
@@ -378,10 +382,11 @@ class PathCache:
         """Level-synchronous BFS from every node of ``sources`` at once over a
         CSR copy of the adjacency (Kepner & Gilbert 2011), with exact path
         counts: int64 while they fit, Python ints once a level's counts could
-        pass 2^63 - 1.  Caches each source's σ and order rows, from which,
-        with its distance row, :meth:`paths_from` builds a
-        :class:`ShortestPathData` equal to a per-source Python BFS (rows
-        already stored are kept), and returns the levels, the sources first."""
+        pass 2^63 - 1.  Caches the σ and order rows of each source that is
+        one of the cache's readers and has none yet, from which, with its
+        distance row, :meth:`paths_from` builds a :class:`ShortestPathData`
+        equal to a per-source Python BFS, and returns the levels of every
+        source, the sources first."""
         indptr, indices = self._indptr, self._indices
         n = indptr.size - 1
         degree = np.diff(indptr)
@@ -434,34 +439,49 @@ class PathCache:
         return levels
 
     def _store(self, sources: list[int], levels: list[BFSLevel]) -> None:
-        """Keep each source's path counts and BFS order from ``levels``,
-        unless it has rows, as compact rows for :meth:`paths_from` to build
-        its tuples from: the ``order`` in the narrowest dtype for n, and σ as
-        an index row into the batch's sorted distinct path counts, int64
-        unless one of them passes 2^63 - 1."""
+        """Keep the path counts and BFS order from ``levels`` of each source
+        that is a reader and has no rows, as compact rows for
+        :meth:`paths_from` to build its tuples from, in arrays sized to those
+        sources: the ``order`` in the narrowest dtype for n, and σ as an
+        index row into their sorted distinct path counts, int64 unless one of
+        them passes 2^63 - 1."""
+        readers = self._readers
+        kept = [b for b, s in enumerate(sources) if s not in self._rows
+                and (readers is None or s in readers)]
+        if not kept:
+            return
         n = self._ids.size
         keys = np.concatenate([level.nodes for level in levels])
+        counts = np.concatenate([level.sigma for level in levels])
+        # batch position -> kept position, -1 for a source not kept
+        rank = np.full(len(sources), -1, dtype=np.int64)
+        rank[kept] = np.arange(len(kept))
+        row = rank.take(keys // n)
+        mine = np.flatnonzero(row >= 0)
+        keys, counts, row = keys.take(mine), counts.take(mine), row.take(mine)
         # a leading 0 gives the unreached nodes index 0
-        counts = np.concatenate([[0], *(level.sigma for level in levels)])
+        counts = np.concatenate([[0], counts])
         if counts.dtype == object and counts.max() <= _INT64_MAX:
             counts = counts.astype(np.int64)  # promoted, yet every count fits
         values, index = np.unique(counts, return_inverse=True)
-        sigma = np.zeros(len(sources) * n, dtype=np.min_scalar_type(values.size))
-        sigma[keys] = index[1:]
+        sigma = np.zeros(len(kept) * n, dtype=np.min_scalar_type(values.size))
+        sigma[row * n + keys % n] = index[1:]
         # group the keys by source, keeping each source's BFS order
-        batch = keys // n
-        by_source = np.argsort(batch.astype(np.min_scalar_type(len(sources))),
+        by_source = np.argsort(row.astype(np.min_scalar_type(len(kept))),
                                kind="stable")  # a radix sort
         order = (keys.take(by_source) % n).astype(np.min_scalar_type(n))
-        ends = np.cumsum(np.bincount(batch, minlength=len(sources))).tolist()
-        for b, (s, start, end) in enumerate(zip(sources, [0, *ends], ends)):
-            self._rows.setdefault(s, (values, sigma[b * n:(b + 1) * n], order[start:end]))
+        ends = np.cumsum(np.bincount(row, minlength=len(kept))).tolist()
+        rows = zip([sources[b] for b in kept], [0, *ends], ends)
+        for k, (s, start, end) in enumerate(rows):
+            self._rows.setdefault(s, (values, sigma[k * n:(k + 1) * n], order[start:end]))
 
     def _row(self, source: int) -> tuple:
         """The σ and order rows of ``source``, after a BFS of its block if it
-        has none."""
+        has none; the source becomes a reader, so the BFS keeps its rows."""
         if source not in self._rows:
             start = self._valid(source) - source % _BATCH
+            if self._readers is not None:
+                self._readers.add(source)
             self.bfs_levels(range(start, min(start + _BATCH, self._ids.size)))
         return self._rows[source]
 

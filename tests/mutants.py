@@ -38,14 +38,27 @@ MUTANTS = (
             CENTRALITY + "TestLazyRows::test_lookup_builds_only_its_source",
             SIMULATOR + "TestPathCacheReuse::test_second_run_builds_nothing")),
     Mutant("a later BFS replaces a stored row", "graph.py",
-           "self._rows.setdefault(s, (values, sigma[b * n:(b + 1) * n], order[start:end]))",
-           "self._rows[s] = (values, sigma[b * n:(b + 1) * n], order[start:end])",
-           (GRAPH + "TestPathCacheMiss::test_first_row_wins",
-            CENTRALITY + "TestBatchedBetweenness::test_matches_per_source_pass")),
+           "self._rows.setdefault(s, (values, sigma[k * n:(k + 1) * n], order[start:end]))",
+           "self._rows[s] = (values, sigma[k * n:(k + 1) * n], order[start:end])",
+           (GRAPH + "TestPathCacheMiss::test_store_keeps_rows_stored_while_it_ran",)),
     Mutant("a miss runs the block that starts at its source", "graph.py",
            "start = self._valid(source) - source % _BATCH", "start = self._valid(source)",
            (GRAPH + "TestPathCacheMiss::test_fills_the_aligned_block",
             CENTRALITY + "TestLazyRows::test_sigma_and_order_rows_stay_lazy")),
+    # rows kept for the cache's readers only, in arrays sized to them
+    Mutant("the reader filter dropped", "graph.py",
+           "and (readers is None or s in readers)]", "]",
+           (CENTRALITY + "TestReaders::test_betweenness_keeps_rows_for_readers_only",
+            CENTRALITY + "TestReaders::test_scores_bit_identical[diamonds70]",
+            CENTRALITY + "TestReaders::test_memory_stays_under_half_of_every_row")),
+    Mutant("a miss does not make its source a reader", "graph.py",
+           "self._readers.add(source)", "pass",
+           (CENTRALITY + "TestReaders::test_read_outside_readers_runs_its_block",)),
+    Mutant("a compact row written at its batch position", "graph.py",
+           "sigma[row * n + keys % n] = index[1:]", "sigma[keys] = index[1:]",
+           (CENTRALITY + "TestReaders::test_betweenness_keeps_rows_for_readers_only",
+            CENTRALITY + "TestReaders::test_read_outside_readers_runs_its_block",
+            CENTRALITY + "TestReaders::test_scores_bit_identical[branching3]")),
     # next-hop trees
     Mutant("int8 next-hop trees", "graph.py",
            "dtype=np.min_scalar_type(-dist.size))", "dtype=np.int8)",

@@ -22,6 +22,7 @@ from fogcache.centrality import (PowerIterationError, ReplicationPolicy,
 from fogcache.experiment import default_topologies
 from fogcache.graph import (_BATCH, _INT64_MAX, UNREACHABLE, PathCache,
                             ShortestPathData, from_edges, load_topology)
+from fogcache.synthetic import generate_synthetic_topology
 from oracles import (adjacency_sets, naive_betweenness, naive_cbc,
                      per_source_betweenness, plain_bfs_dist, python_bfs,
                      random_edge_set)
@@ -374,6 +375,88 @@ class TestLazyRows:
         # an eager store keeps distance, σ and order tuples (64 bytes were
         # measured against 0.87 MB of distance tuples)
         assert kept - rows < dist_size / 500
+
+
+class TestReaders:
+    """A cache built with ``readers`` keeps σ and order rows for those
+    sources only; every score and every read stays as without them."""
+
+    @staticmethod
+    def readers_of(topo, seed=0, share=0.3):
+        n = topo.node_count
+        return sorted(random.Random(seed).sample(range(n), max(1, int(share * n))))
+
+    def test_betweenness_keeps_rows_for_readers_only(self):
+        _, topo = default_topologies()[0]
+        readers = self.readers_of(topo)
+        cache, full = PathCache(topo, readers), PathCache(topo)
+        betweenness_centrality(topo, cache)
+        betweenness_centrality(topo, full)
+        assert sorted(cache._rows) == readers
+        # the compact rows of a batch share one array of distinct counts
+        assert len({id(cache._rows[s][0]) for s in readers}) == len(
+            {s // _BATCH for s in readers})
+        with mock.patch.object(PathCache, "bfs_levels", side_effect=AssertionError):
+            for s in readers:
+                assert cache.paths_from(s) == full.paths_from(s)
+
+    def test_read_outside_readers_runs_its_block(self):
+        _, topo = default_topologies()[0]
+        readers = self.readers_of(topo)
+        outside = next(s for s in range(40, topo.node_count) if s not in readers)
+        start = outside - outside % _BATCH
+        cache = PathCache(topo, readers)
+        betweenness_centrality(topo, cache)
+        with mock.patch.object(PathCache, "bfs_levels", autospec=True,
+                               side_effect=PathCache.bfs_levels) as bfs:
+            sp = cache.paths_from(outside)
+            assert [list(call.args[1]) for call in bfs.call_args_list] == [
+                list(range(start, min(start + _BATCH, topo.node_count)))]
+            assert cache.paths_from(outside) == sp
+            assert bfs.call_count == 1
+        # the block's BFS keeps the new reader's rows and no one else's
+        assert sorted(cache._rows) == sorted({*readers, outside})
+        assert sp == PathCache(topo).paths_from(outside) == python_bfs(topo, outside)
+
+    @pytest.mark.parametrize("build, boxed", [
+        (lambda: default_topologies()[1][1], False), (lambda: diamond_chain(70), True),
+        (lambda: branching_chain(3), True)], ids=["topology2", "diamonds70", "branching3"])
+    def test_scores_bit_identical(self, build, boxed):
+        # the diamond and branching chains' path counts pass 2^63, so some
+        # batches store their readers' distinct counts as Python ints
+        topo = build()
+        readers = self.readers_of(topo, seed=topo.node_count)
+        raw = betweenness_centrality(topo, PathCache(topo)).raw
+        for kept in ((), readers):
+            cache = PathCache(topo, kept)
+            assert betweenness_centrality(topo, cache).raw == raw
+            assert sorted(cache._rows) == list(kept)
+        assert any(cache._rows[s][0].dtype == object for s in readers) == boxed
+        policy = ReplicationPolicy(alpha=0.5, buffer_items=2, catalog_size=20)
+        args = (topo, readers, policy, readers[::7])
+        assert cbc_replication(*args, cache).raw == cbc_replication(
+            *args, PathCache(topo)).raw
+
+    def test_memory_stays_under_half_of_every_row(self):
+        # 30% of the nodes as readers: the rows betweenness leaves in the
+        # cache, the distance matrix built with it left out
+        topo = generate_synthetic_topology("geometric", 1000, 0.078 * (0.33 ** 0.5), 6)
+        readers = self.readers_of(topo)
+        left = {}
+        for name, kept in (("readers", readers), ("every", None)):
+            cache = PathCache(topo, kept)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                betweenness_centrality(topo, cache)
+                gc.collect()
+                left[name] = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            del cache
+        assert topo.node_count > 900
+        assert 0 < left["readers"] < left["every"] / 2
 
 
 class TestEigenvector:

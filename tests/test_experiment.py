@@ -1,20 +1,24 @@
 import hashlib
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fogcache import experiment
 from fogcache.experiment import (CSV_COLUMNS, KNOBS, SCHEMES, ExperimentPlan,
-                                 cell_inputs, default_plan, default_topologies,
-                                 derive_seed, emit_report, mean_metric,
-                                 parse_config, plan_from_config, run_experiment,
-                                 summary_text, table_to_csv)
+                                 cell_inputs, cell_roles, default_plan,
+                                 default_topologies, derive_seed, emit_report,
+                                 mean_metric, parse_config, plan_from_config,
+                                 run_experiment, summary_text, table_to_csv)
 from fogcache.graph import connected_components, from_edges, serialize_topology
 from fogcache.synthetic import _geometric_edges, generate_synthetic_topology
 from oracles import (adjacency_sets, geometric_pair_scan,
@@ -392,12 +396,45 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool class only when it opens a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         topologies = (("a", small_topology(1)), ("b", small_topology(2)))
         wide = run_experiment(tiny_plan(topologies=topologies, workers=64))
         assert opened == [2]
         assert table_to_csv(wide) == table_to_csv(
             run_experiment(tiny_plan(topologies=topologies, workers=1)))
+
+    def test_serial_import_loads_no_pool_modules(self):
+        # the pool modules load only when run_experiment opens a pool
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, fogcache, fogcache.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+            env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("schemes", [("cbc", "betweenness", "no_fog"),
+                                         ("betweenness", "no_fog"),
+                                         ("lru_social_unaware",)])
+    def test_cache_keeps_rows_of_cbc_consumers(self, monkeypatch, schemes):
+        # the union of every repetition's consumers when the plan scores cbc,
+        # no source otherwise
+        built = []
+
+        class Recorded(experiment.PathCache):
+            def __init__(self, topology, readers=None):
+                built.append(readers)
+                super().__init__(topology, readers)
+
+        monkeypatch.setattr(experiment, "PathCache", Recorded)
+        plan = tiny_plan(schemes=schemes, repetitions=3)
+        run_experiment(plan)
+        consumers = [set(cell_inputs(plan, 0, rep)[0].consumers) for rep in range(3)]
+        assert len(set.union(*consumers)) > max(map(len, consumers))
+        assert built == [set.union(*consumers) if "cbc" in schemes else ()]
 
     def test_adding_scheme_keeps_other_cells(self):
         base = run_experiment(tiny_plan(schemes=("cbc",)))
@@ -434,6 +471,15 @@ class TestRunExperiment:
     def test_bad_knobs_rejected_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_plan(**overrides)
+
+    def test_cell_roles_are_cell_inputs_roles(self):
+        plan = tiny_plan(topologies=(("a", small_topology(1)),
+                                     ("b", small_topology(2))), repetitions=4)
+        for index in range(2):
+            for rep in range(4):
+                assert cell_roles(plan, index, rep) == cell_inputs(plan, index, rep)[0]
+        with pytest.raises(ValueError, match="repetition must be >= 0"):
+            cell_roles(plan, 0, -1)
 
     def test_cells_seeded_by_cell_inputs(self, monkeypatch):
         plan = tiny_plan(topologies=(("a", small_topology(1)),

@@ -333,6 +333,34 @@ class TestPathCacheMiss:
         betweenness_centrality(topo, cache)
         assert all(cache._rows[s] is row for s, row in rows.items())
 
+    def test_store_keeps_rows_stored_while_it_ran(self):
+        # a racing reader stores the block between this store's check for
+        # rows and its own writes: the rows stored first stay
+        _, topo = default_topologies()[0]
+        cache = PathCache(topo)
+        unique, raced, calls = np.unique, {}, []
+
+        def race(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                cache.bfs_levels(range(32, 64))
+                raced.update(cache._rows)
+            return unique(*args, **kwargs)
+
+        with mock.patch.object(np, "unique", side_effect=race):
+            cache.bfs_levels(range(32, 64))
+        assert len(calls) == 2 and sorted(raced) == list(range(32, 64))
+        assert sorted(cache._rows) == list(range(32, 64))
+        assert all(cache._rows[s] is raced[s] for s in range(32, 64))
+
+    @pytest.mark.parametrize("bad", [-1, 7, 100])
+    def test_invalid_reader(self, bad):
+        # a reader is checked when the cache is built, before the distance pass
+        topo = load_topology("0 1\n1 2\n2 3\n3 4\n4 5\n5 6")
+        with mock.patch("fogcache.graph._distances", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=f"invalid source id {bad}"):
+                PathCache(topo, [0, 3, bad])
+
     @pytest.mark.parametrize("bad", [-1, -40, 7, 100])
     def test_invalid_source(self, bad):
         cache = PathCache(load_topology("0 1\n1 2\n2 3\n3 4\n4 5\n5 6"))
